@@ -2,65 +2,57 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include "net/flow_index.hpp"
 
 namespace p4u::p4rt {
 namespace {
 
-TEST(RegisterArrayTest, DefaultValueForUnwrittenCells) {
-  RegisterArray<int> r(-1);
-  EXPECT_EQ(r.read(0), -1);
-  EXPECT_EQ(r.read(999999), -1);
-  EXPECT_FALSE(r.written(0));
+TEST(FlatRegisterArrayTest, UnwrittenCellReadsDefault) {
+  net::FlowIndex idx;
+  FlatRegisterArray<int> r(-1);
+  EXPECT_EQ(r.read(idx, 5), -1);  // never interned
+  idx.intern(7);
+  EXPECT_EQ(r.read(idx, 7), -1);  // interned, never written
+  r.write(idx, 8, 3);
+  EXPECT_EQ(r.read(idx, 8), 3);
+  EXPECT_EQ(r.read(idx, 7), -1);  // a neighbour's write leaves it alone
+  const net::FlowHandle h = idx.find(7);
+  EXPECT_EQ(r.read_at(h, idx.generation(h)), -1);
+  EXPECT_EQ(r.read_at(net::kNoFlowHandle, 0), -1);
 }
 
-TEST(RegisterArrayTest, WriteThenRead) {
-  RegisterArray<std::int64_t> r;
-  r.write(17, 42);
-  EXPECT_EQ(r.read(17), 42);
-  EXPECT_TRUE(r.written(17));
-  EXPECT_EQ(r.populated(), 1u);
-  r.write(17, 43);
-  EXPECT_EQ(r.read(17), 43);
-  EXPECT_EQ(r.populated(), 1u);
+TEST(FlatRegisterArrayTest, RecycledHandleReadsDefaultAfterRelease) {
+  net::FlowIndex idx;
+  FlatRegisterArray<double> r(0.5);
+  r.write(idx, 1, 42.0);
+  const net::FlowHandle h = idx.find(1);
+  ASSERT_NE(h, net::kNoFlowHandle);
+  idx.release(1);
+  EXPECT_DOUBLE_EQ(r.read(idx, 1), 0.5);  // released flow reads default
+  // The next flow reuses the slot under a new generation: the old row is
+  // stale without any eager clearing.
+  ASSERT_EQ(idx.intern(2), h);
+  EXPECT_DOUBLE_EQ(r.read(idx, 2), 0.5);
+  EXPECT_DOUBLE_EQ(r.read_at(h, idx.generation(h)), 0.5);
+  r.write(idx, 2, 7.0);
+  EXPECT_DOUBLE_EQ(r.read(idx, 2), 7.0);
 }
 
-TEST(RegisterArrayTest, ClearRestoresDefault) {
-  RegisterArray<int> r(7);
-  r.write(1, 100);
-  r.clear(1);
-  EXPECT_EQ(r.read(1), 7);
-  r.write(2, 1);
-  r.write(3, 2);
-  r.clear_all();
-  EXPECT_EQ(r.populated(), 0u);
-}
-
-TEST(RegisterArrayTest, SparseHugeIndices) {
-  RegisterArray<double> r(0.0);
-  const std::uint64_t big = 0xFFFFFFFFFFFFFFFEull;
-  r.write(big, 3.5);
-  EXPECT_DOUBLE_EQ(r.read(big), 3.5);
-  EXPECT_DOUBLE_EQ(r.read(big - 1), 0.0);
-}
-
-TEST(MatchActionTableTest, HitAndMiss) {
-  MatchActionTable<std::uint64_t, int> t;
-  EXPECT_EQ(t.match(5), nullptr);
-  t.insert(5, 99);
-  ASSERT_NE(t.match(5), nullptr);
-  EXPECT_EQ(*t.match(5), 99);
-  EXPECT_EQ(t.size(), 1u);
-}
-
-TEST(MatchActionTableTest, InsertOverwritesAndEraseRemoves) {
-  MatchActionTable<std::uint64_t, std::string> t;
-  t.insert(1, "a");
-  t.insert(1, "b");
-  EXPECT_EQ(*t.match(1), "b");
-  t.erase(1);
-  EXPECT_EQ(t.match(1), nullptr);
-  t.erase(1);  // idempotent
+TEST(FlatRegisterArrayTest, ReadAndWriteCountersCountEveryAccess) {
+  net::FlowIndex idx;
+  FlatRegisterArray<std::int64_t> r;
+  EXPECT_EQ(r.reads(), 0u);
+  EXPECT_EQ(r.writes(), 0u);
+  r.write(idx, 1, 10);
+  r.write(idx, 1, 11);  // overwrites count too
+  const net::FlowHandle h = idx.find(1);
+  r.write_at(h, idx.generation(h), 12);
+  EXPECT_EQ(r.writes(), 3u);
+  EXPECT_EQ(r.read(idx, 1), 12);
+  EXPECT_EQ(r.read(idx, 99), 0);  // a read of an unknown flow still counts
+  EXPECT_EQ(r.read_at(h, idx.generation(h)), 12);
+  EXPECT_EQ(r.reads(), 3u);
+  EXPECT_EQ(r.writes(), 3u);
 }
 
 }  // namespace
