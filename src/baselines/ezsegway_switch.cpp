@@ -108,11 +108,11 @@ bool EzSegwaySwitch::capacity_ok(const SwitchDevice& sw,
   const auto& adj = graph_->neighbors(id_).at(static_cast<std::size_t>(port));
   const double capacity = graph_->link(adj.link).capacity;
   double used = 0.0;
-  for (const auto& [flow, p] : sw.rules()) {
-    if (flow == pu.cmd.flow || p != port) continue;
+  sw.for_each_rule([&](net::FlowId flow, std::int32_t p) {
+    if (flow == pu.cmd.flow || p != port) return;
     auto it = flow_size_.find(flow);
     if (it != flow_size_.end()) used += it->second;
-  }
+  });
   // In-flight installs hold capacity too (the rule write takes time).
   for (const auto& [flow, p] : inflight_) {
     if (flow == pu.cmd.flow || p != port) continue;

@@ -12,9 +12,9 @@ double CongestionScheduler::reserved(const p4rt::SwitchDevice& sw,
                                      const Uib& uib, std::int32_t port,
                                      FlowId except) const {
   double used = 0.0;
-  for (const auto& [flow, p] : sw.rules()) {
+  sw.for_each_rule([&](FlowId flow, std::int32_t p) {
     if (flow != except && p == port) used += uib.flow_size(flow);
-  }
+  });
   // Approved-but-not-yet-installed moves also hold the capacity; skip flows
   // whose current rule is already on this port (no double counting).
   for (const auto& [flow, move] : inflight_) {
@@ -67,15 +67,15 @@ int CongestionScheduler::on_deferred(const p4rt::SwitchDevice& sw, Uib& uib,
   // Raise priority of every flow currently on `to_port` that has a pending
   // move away from it (§7.4): those moves free the capacity `f` needs.
   int raised = 0;
-  for (const auto& [flow, port] : sw.rules()) {
-    if (port != to_port || flow == f) continue;
+  sw.for_each_rule([&](FlowId flow, std::int32_t port) {
+    if (port != to_port || flow == f) return;
     const UimHeader* pending = uib.pending_uim(flow);
     if (pending != nullptr && pending->egress_port_updated != to_port &&
         !uib.high_priority(flow)) {
       uib.set_high_priority(flow, true);
       ++raised;
     }
-  }
+  });
   return raised;
 }
 

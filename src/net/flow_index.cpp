@@ -25,8 +25,8 @@ std::size_t ceil_pow2(std::size_t n) {
 }  // namespace
 
 FlowIndex::FlowIndex(std::size_t expected) {
-  grow_table(ceil_pow2(expected * 2));
-  slots_.reserve(expected);
+  // An empty index allocates nothing: the first intern() sizes the table.
+  if (expected > 0) reserve(expected);
 }
 
 std::size_t FlowIndex::bucket_of(FlowId id) const {

@@ -36,6 +36,7 @@ class FlowIndex {
  public:
   /// `expected` pre-sizes the hash table and slot arrays so steady-state
   /// interning never rehashes (campaigns know their flow count up front).
+  /// With `expected == 0` construction allocates nothing.
   explicit FlowIndex(std::size_t expected = 0);
 
   /// Finds or creates the handle for `id`. Amortized O(1); rehashes only

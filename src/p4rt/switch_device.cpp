@@ -1,5 +1,6 @@
 #include "p4rt/switch_device.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -196,9 +197,36 @@ void SwitchDevice::resubmit(Packet pkt, std::int32_t in_port) {
 }
 
 std::optional<std::int32_t> SwitchDevice::lookup(FlowId flow) const {
-  auto it = rules_.find(flow);
-  if (it == rules_.end()) return std::nullopt;
-  return it->second;
+  const net::FlowHandle h = index_.find(flow);
+  if (h == net::kNoFlowHandle) return std::nullopt;
+  const std::int32_t port = egress_.get(h, index_.generation(h));
+  if (port == kNoRule) return std::nullopt;
+  return port;
+}
+
+net::FlowHandle SwitchDevice::slot(FlowId flow) {
+  const std::size_t before = index_.size();
+  const net::FlowHandle h = index_.intern(flow);
+  if (index_.size() != before) {
+    if (!order_.empty() && flow < order_.back().first) order_sorted_ = false;
+    order_.emplace_back(flow, h);
+  }
+  return h;
+}
+
+void SwitchDevice::release_slot(FlowId flow) {
+  index_.release(flow);
+  order_.erase(std::find_if(order_.begin(), order_.end(),
+                            [flow](const auto& e) { return e.first == flow; }));
+}
+
+const std::vector<std::pair<FlowId, net::FlowHandle>>&
+SwitchDevice::rule_order() const {
+  if (!order_sorted_) {
+    std::sort(order_.begin(), order_.end());
+    order_sorted_ = true;
+  }
+  return order_;
 }
 
 sim::Duration SwitchDevice::sample_install_delay() {
@@ -221,21 +249,22 @@ void SwitchDevice::install_rule(FlowId flow, std::int32_t port,
   const sim::Duration delay =
       quick ? params_.register_write_delay : sample_install_delay();
   sim::Time done = now() + delay;
-  auto [it, inserted] = install_tail_.try_emplace(flow, done);
-  if (!inserted) {
-    done = std::max(done, it->second + 1);
-    it->second = done;
-  }
+  const net::FlowHandle h = slot(flow);
+  sim::Time& tail = install_tail_.row(h, index_.generation(h));
+  if (tail != kNoTail) done = std::max(done, tail + 1);
+  tail = done;
+  // The slot outlives this event: remove_rule keeps a slot whose tail has
+  // not passed, and crash() bumps the epoch before wiping the table.
   simulator().schedule_at(done,
                           switch_tag(id_, sim::EventClass::kInstall, flow),
-                          [this, epoch = epoch_, flow, port,
+                          [this, epoch = epoch_, flow, h, port,
                            on_active = std::move(on_active)]() {
     if (epoch != epoch_) {
       // Accepted before the crash, wiped with everything else.
       installs_rejected_counter().inc();
       return;
     }
-    rules_[flow] = port;
+    egress_.row(h, index_.generation(h)) = port;
     ++installs_completed_;
     rule_installs_counter().inc();
     fabric_.trace().add(
@@ -250,11 +279,23 @@ void SwitchDevice::set_rule_now(FlowId flow, std::int32_t port) {
     installs_rejected_counter().inc();
     return;
   }
-  rules_[flow] = port;
+  const net::FlowHandle h = slot(flow);
+  egress_.row(h, index_.generation(h)) = port;
   fabric_.notify_rule_installed(id_, flow, port);
 }
 
-void SwitchDevice::remove_rule(FlowId flow) { rules_.erase(flow); }
+void SwitchDevice::remove_rule(FlowId flow) {
+  const net::FlowHandle h = index_.find(flow);
+  if (h == net::kNoFlowHandle) return;
+  const std::uint32_t gen = index_.generation(h);
+  // A tail strictly before now() cannot push back any later install
+  // (done >= now() > tail), so the slot holds nothing worth keeping.
+  if (install_tail_.get(h, gen) < now()) {
+    release_slot(flow);
+  } else {
+    egress_.row(h, gen) = kNoRule;
+  }
+}
 
 void SwitchDevice::crash() {
   if (crashed_) return;
@@ -263,8 +304,11 @@ void SwitchDevice::crash() {
   // Everything volatile dies with the process: the forwarding table, the
   // service queue (stale-epoch events count themselves as crash-dropped when
   // they fire), pending install completions, and pipeline registers.
-  rules_.clear();
+  index_.clear();
+  egress_.clear();
   install_tail_.clear();
+  order_.clear();
+  order_sorted_ = true;
   busy_until_ = 0;
   queue_depth_ = 0;
   queue_depth_gauge().set(0.0);

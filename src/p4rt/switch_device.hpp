@@ -14,11 +14,14 @@
 
 #include <array>
 #include <functional>
-#include <map>
+#include <limits>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/flow.hpp"
+#include "net/flow_index.hpp"
 #include "obs/metrics.hpp"
 #include "p4rt/packet.hpp"
 #include "sim/event_queue.hpp"
@@ -125,10 +128,24 @@ class SwitchDevice {
   /// Writes a rule instantly (initial configuration bring-up, not timed).
   void set_rule_now(FlowId flow, std::int32_t port);
 
+  /// Deletes the flow's rule. The flow's table slot is released too once
+  /// its last install has retired before now(): such a tail can no longer
+  /// delay a later install, so dropping it changes no completion time.
   void remove_rule(FlowId flow);
 
-  [[nodiscard]] const std::map<FlowId, std::int32_t>& rules() const noexcept {
-    return rules_;
+  /// Calls fn(flow, port) for every rule, in ascending FlowId order — the
+  /// order callers accumulate floating-point link loads in.
+  template <typename Fn>
+  void for_each_rule(Fn&& fn) const {
+    for (const auto& [flow, h] : rule_order()) {
+      const std::int32_t port = egress_.get(h, index_.generation(h));
+      if (port != kNoRule) fn(flow, port);
+    }
+  }
+
+  /// Live forwarding-table slots: flows holding a rule or an install tail.
+  [[nodiscard]] std::size_t flow_slots() const noexcept {
+    return index_.size();
   }
 
   /// Count of timed installs completed (tests assert on install volume).
@@ -162,6 +179,19 @@ class SwitchDevice {
   void forward_data(DataHeader data, std::int32_t in_port);
   [[nodiscard]] sim::Duration sample_install_delay();
 
+  /// Egress-port row value of a slot without a rule (blackhole).
+  static constexpr std::int32_t kNoRule =
+      std::numeric_limits<std::int32_t>::min();
+  /// Install-tail row value of a slot that never had a timed install.
+  static constexpr sim::Time kNoTail = std::numeric_limits<sim::Time>::min();
+
+  /// Finds or creates the flow's slot, keeping order_ in step.
+  net::FlowHandle slot(FlowId flow);
+  void release_slot(FlowId flow);
+  /// order_, sorted by FlowId first if an out-of-order intern unsorted it.
+  [[nodiscard]] const std::vector<std::pair<FlowId, net::FlowHandle>>&
+  rule_order() const;
+
   // Lazily resolved metric handles (resolved on first use so the set of
   // registry cells — and hence report bytes — matches uncached behavior).
   obs::Gauge& queue_depth_gauge();
@@ -183,11 +213,18 @@ class SwitchDevice {
   obs::Counter installs_rejected_;
   std::array<obs::Counter, kPacketKindCount> handled_;
   Pipeline* pipeline_ = nullptr;
-  std::map<FlowId, std::int32_t> rules_;
-  // Per-flow tail of scheduled install completions: register writes retire
-  // in issue order, so a straggling older install can never overwrite a
-  // faster newer one (fast-forward safety).
-  std::map<FlowId, sim::Time> install_tail_;
+  // The forwarding table (Table 1's egress_port): one slot per flow,
+  // addressed by a dense handle. Per-flow rows: the egress port (kNoRule
+  // when the flow has none) and the tail of scheduled install completions —
+  // register writes retire in issue order, so a straggling older install
+  // can never overwrite a faster newer one (fast-forward safety).
+  net::FlowIndex index_;
+  net::FlowPool<std::int32_t> egress_{kNoRule};
+  net::FlowPool<sim::Time> install_tail_{kNoTail};
+  // Every live slot as (flow, handle); sorted by flow unless an intern
+  // arrived out of order since the last for_each_rule.
+  mutable std::vector<std::pair<FlowId, net::FlowHandle>> order_;
+  mutable bool order_sorted_ = true;
   sim::Time busy_until_ = 0;
   std::uint64_t queue_depth_ = 0;  // packets scheduled but not yet processed
   std::uint64_t installs_completed_ = 0;

@@ -11,8 +11,11 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/scenario.hpp"
+#include "harness/traffic.hpp"
 #include "net/fattree.hpp"
 #include "net/paths.hpp"
 #include "net/topologies.hpp"
@@ -39,6 +42,23 @@ void mix_u64(std::uint64_t& h, std::uint64_t v) {
     h *= kFnvPrime;
     v >>= 8;
   }
+}
+
+/// FNV-1a-64 over the bed's full trace plus the scheduler's terminal state.
+std::uint64_t trace_digest(TestBed& bed) {
+  std::uint64_t h = kFnvOffset;
+  for (const sim::TraceEntry& e : bed.fabric().trace().entries()) {
+    mix_u64(h, static_cast<std::uint64_t>(e.at));
+    mix_u64(h, static_cast<std::uint64_t>(e.kind));
+    mix_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(e.node)));
+    mix_u64(h, e.flow);
+    mix_u64(h, static_cast<std::uint64_t>(e.a));
+    mix_u64(h, static_cast<std::uint64_t>(e.b));
+    mix_bytes(h, e.note.data(), e.note.size());
+  }
+  mix_u64(h, bed.simulator().executed());
+  mix_u64(h, static_cast<std::uint64_t>(bed.simulator().now()));
+  return h;
 }
 
 /// Runs one single-flow update on a K=4 fat-tree (edge-to-edge across pods,
@@ -76,20 +96,54 @@ std::uint64_t fattree_update_digest(std::uint64_t seed,
   bed.schedule_update_at(sim::milliseconds(10), f.id, *new_p);
   bed.run(sim::seconds(300));
   EXPECT_TRUE(bed.flow_db().duration(f.id, 2).has_value());
+  return trace_digest(bed);
+}
 
-  std::uint64_t h = kFnvOffset;
-  for (const sim::TraceEntry& e : bed.fabric().trace().entries()) {
-    mix_u64(h, static_cast<std::uint64_t>(e.at));
-    mix_u64(h, static_cast<std::uint64_t>(e.kind));
-    mix_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(e.node)));
-    mix_u64(h, e.flow);
-    mix_u64(h, static_cast<std::uint64_t>(e.a));
-    mix_u64(h, static_cast<std::uint64_t>(e.b));
-    mix_bytes(h, e.note.data(), e.note.size());
+struct CongestionRun {
+  std::uint64_t digest = 0;
+  std::size_t defers = 0;
+  std::size_t raises = 0;
+};
+
+/// Congestion-mode multi-flow batch on a capacity-tight K=4 fat-tree: one
+/// gravity-sized flow per switch, all rerouted at once with the busiest
+/// link at full capacity under both configurations, so the data-plane
+/// schedulers defer moves for capacity (and P4Update raises priorities).
+/// Each deferral decision sums link loads over a switch's forwarding
+/// table, so the digest pins that floating-point summation order too.
+CongestionRun congestion_batch_digest(SystemKind system, std::uint64_t seed) {
+  net::FatTree ft = net::fattree_topology(4);
+  net::set_uniform_capacity(ft.graph, 100.0);
+  sim::Rng traffic_rng(seed);
+  TrafficParams traffic;
+  traffic.target_utilization = 1.0;
+  const std::vector<TrafficFlow> flows =
+      gravity_multiflow(ft.graph, traffic_rng, traffic);
+
+  TestBedParams params;
+  params.seed = seed;
+  params.system = system;
+  params.congestion_mode = true;
+  params.monitor_capacity = true;
+  params.switch_params.straggler_mean_ms = 100.0;
+  TestBed bed(ft.graph, params);
+  std::vector<std::pair<net::FlowId, net::Path>> batch;
+  for (const TrafficFlow& tf : flows) {
+    bed.deploy_flow(tf.flow, tf.old_path);
+    batch.emplace_back(tf.flow.id, tf.new_path);
   }
-  mix_u64(h, bed.simulator().executed());
-  mix_u64(h, static_cast<std::uint64_t>(bed.simulator().now()));
-  return h;
+  bed.schedule_batch_at(sim::milliseconds(10), std::move(batch));
+  bed.run(sim::seconds(300));
+  for (const TrafficFlow& tf : flows) {
+    EXPECT_TRUE(bed.flow_db().duration(tf.flow.id, 2).has_value())
+        << to_string(system) << " seed " << seed << " flow " << tf.flow.id;
+  }
+
+  CongestionRun r;
+  r.digest = trace_digest(bed);
+  r.defers = bed.fabric().trace().count(sim::TraceKind::kCongestionDefer);
+  r.raises = bed.fabric().trace().count(sim::TraceKind::kPriorityRaised);
+  return r;
 }
 
 struct GoldenCase {
@@ -146,6 +200,36 @@ TEST(GoldenTraceTest, RecordedScheduleIsByteIdenticalToDirectRun) {
   // The run had no fault model, so only pick decisions were recorded; the
   // schedule must be non-trivial (co-enabled installs happen on a fat-tree).
   EXPECT_FALSE(recording.schedule().choices.empty());
+}
+
+struct CongestionGoldenCase {
+  SystemKind system;
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+
+// Captured before the switch forwarding table moved from std::map to the
+// FlowIndex-addressed flat table. Seeds chosen so every flow completes and
+// the capacity gates fire (P4Update also raises priorities).
+constexpr CongestionGoldenCase kCongestionGolden[] = {
+    {SystemKind::kP4Update, 3, 0x02da627415f65b38ull},
+    {SystemKind::kP4Update, 6, 0x65e767846938ef59ull},
+    {SystemKind::kEzSegway, 3, 0x6eace067197be2eeull},
+    {SystemKind::kEzSegway, 6, 0x9d2f90a9ac58d897ull},
+};
+
+TEST(GoldenTraceTest, CongestionModeBatchEventSequenceIsPinned) {
+  for (const CongestionGoldenCase& c : kCongestionGolden) {
+    const CongestionRun r = congestion_batch_digest(c.system, c.seed);
+    EXPECT_GT(r.defers, 0u) << to_string(c.system) << " seed " << c.seed;
+    if (c.system == SystemKind::kP4Update) {
+      EXPECT_GT(r.raises, 0u) << "seed " << c.seed;
+    }
+    EXPECT_EQ(r.digest, c.digest)
+        << to_string(c.system) << " seed " << c.seed
+        << ": event-sequence digest drifted (got 0x" << std::hex << r.digest
+        << ")";
+  }
 }
 
 }  // namespace
