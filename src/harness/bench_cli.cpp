@@ -87,7 +87,6 @@ std::string bench_cli_usage(const BenchCliSpec& spec) {
   if (spec.with_jobs) u += " [--jobs <N>]";
   if (spec.with_runs) u += " [--runs <N>] [--seed <S>]";
   if (spec.with_smoke) u += " [--smoke]";
-  if (spec.with_shards) u += " [--shards <K>]";
   u += "\n";
   if (!spec.description.empty()) u += "  " + spec.description + "\n";
   u += "  --out <dir>   write a JSONL/CSV run report under <dir>\n";
@@ -118,11 +117,6 @@ std::string bench_cli_usage(const BenchCliSpec& spec) {
   if (spec.with_static_verify) {
     u += "  --static-verify              cross-check cells against the "
          "static plan verifier\n";
-  }
-  if (spec.with_shards) {
-    u += "  --shards <K>  run each job on the K-way sharded engine "
-         "(reports are\n                byte-identical for every K; --jobs "
-         "is divided by K)\n";
   }
   for (const std::string& p : spec.passthrough_prefixes) {
     u += "  " + p + "*  passed through\n";
@@ -242,15 +236,6 @@ BenchCliResult parse_bench_cli(int& argc, char** argv,
       out.cli.static_verify = true;
       continue;
     }
-    if (spec.with_shards) {
-      if (auto v = match_flag(arg, "--shards", r, argc, argv); v.present) {
-        if (v.missing_value || !parse_positive_int(v.value, out.cli.shards)) {
-          out.error = "--shards requires a positive integer";
-          return out;
-        }
-        continue;
-      }
-    }
     const bool passthrough =
         std::any_of(spec.passthrough_prefixes.begin(),
                     spec.passthrough_prefixes.end(),
@@ -281,18 +266,6 @@ BenchCliResult parse_bench_cli(int& argc, char** argv,
   if (out.cli.max_depth && out.cli.strategy != "explore") {
     out.error = "--max-depth requires --strategy explore";
     return out;
-  }
-  if (out.cli.shards > 0) {
-    if (!out.cli.strategy.empty()) {
-      out.error = "--shards and --strategy are mutually exclusive: "
-                  "strategies steer one global ready set";
-      return out;
-    }
-    if (!out.cli.replay_path.empty()) {
-      out.error = "--shards and --replay are mutually exclusive: a replay "
-                  "re-executes one global schedule";
-      return out;
-    }
   }
   argc = w;
   return out;

@@ -1,6 +1,5 @@
 #include "harness/scenario.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -11,8 +10,8 @@ namespace p4u::harness {
 namespace {
 
 std::vector<sim::Duration> control_latencies(const net::Graph& g,
-                                             const TestBedParams& p,
-                                             sim::Rng& rng) {
+                                             const TestBedParams& p) {
+  sim::Rng rng(p.seed ^ 0xC0117801ull);
   switch (p.ctrl_latency_model) {
     case CtrlLatencyModel::kWanCentroid:
       return p4rt::wan_control_latencies(g, net::centroid_node(g));
@@ -29,52 +28,10 @@ std::vector<sim::Duration> control_latencies(const net::Graph& g,
   throw std::logic_error("unknown control latency model");
 }
 
-std::vector<sim::Duration> make_ctrl_latencies(const net::Graph& g,
-                                               const TestBedParams& p) {
-  sim::Rng latency_rng(p.seed ^ 0xC0117801ull);
-  return control_latencies(g, p, latency_rng);
-}
-
-/// Sharded mode is requested by params.shards >= 1; a ScheduleStrategy
-/// forces the transparent legacy fallback (strategies steer one global
-/// ready set — PR-7 semantics the sharded engine does not reproduce).
-bool wants_sharding(const TestBedParams& p) {
-  return p.shards >= 1 && p.strategy == nullptr;
-}
-
-net::ShardPlan make_shard_plan(const net::Graph& g, const TestBedParams& p) {
-  if (!wants_sharding(p)) return {};
-  return net::partition_shards(g, p.shards);
-}
-
-std::unique_ptr<sim::ShardedSimulator> make_engine(
-    const net::Graph& g, const TestBedParams& p, const net::ShardPlan& plan,
-    const std::vector<sim::Duration>& ctrl_latency) {
-  if (!wants_sharding(p)) return nullptr;
-  // Conservative lookahead = the minimum latency of any channel that can
-  // cross shards: cut links, plus the control channel to/from every switch
-  // not co-located with the controller (shard 0).
-  sim::Duration lookahead = plan.min_cut_latency;
-  for (std::size_t i = 0; i < ctrl_latency.size(); ++i) {
-    if (plan.shard_of[i] != 0) {
-      lookahead = std::min(lookahead, ctrl_latency[i]);
-    }
-  }
-  return std::make_unique<sim::ShardedSimulator>(
-      plan.shards, g.node_count() + 1, lookahead);
-}
-
 }  // namespace
 
 TestBed::TestBed(net::Graph graph, TestBedParams params)
-    : graph_(std::move(graph)),
-      params_(params),
-      ctrl_latencies_(make_ctrl_latencies(graph_, params_)),
-      shard_plan_(make_shard_plan(graph_, params_)),
-      sharded_(make_engine(graph_, params_, shard_plan_, ctrl_latencies_)),
-      own_sim_(sharded_ == nullptr ? std::make_unique<sim::Simulator>()
-                                   : nullptr),
-      sim_(sharded_ != nullptr ? sharded_->shard(0) : *own_sim_) {
+    : graph_(std::move(graph)), params_(params) {
   // The strategy goes in first: the Fabric constructor below already
   // schedules fault-plan events, and those must be tagged and steered like
   // everything else.
@@ -84,14 +41,10 @@ TestBed::TestBed(net::Graph graph, TestBedParams params)
   fabric_ = std::make_unique<p4rt::Fabric>(sim_, graph_, params_.switch_params,
                                            params_.seed, params_.fault_plan);
   fabric_->trace().set_enabled(params_.trace_enabled);
-  if (sharded_ != nullptr) {
-    // Rejects fault plans / fault models / enabled traces with a clear
-    // message; from here on events route to the shard owning their node.
-    fabric_->attach_shards(*sharded_, shard_plan_);
-  }
 
   channel_ = std::make_unique<p4rt::ControlChannel>(
-      sim_, *fabric_, ctrl_latencies_, params_.ctrl_send_service);
+      sim_, *fabric_, control_latencies(graph_, params_),
+      params_.ctrl_send_service);
   channel_->set_services(params_.ctrl_send_service, params_.ctrl_recv_service);
 
   adapter_ = SystemFactory::instance().create(
@@ -100,13 +53,7 @@ TestBed::TestBed(net::Graph graph, TestBedParams params)
 
   monitor_ = std::make_unique<InvariantMonitor>(*fabric_,
                                                 params_.monitor_capacity);
-  if (sharded_ == nullptr) {
-    monitor_->attach();
-  }
-  // Sharded: the monitor is not an observer (its callbacks would fire from
-  // every worker thread and walk global state mid-window). TestBed::run
-  // sweeps it between windows instead, at identical virtual times for
-  // every shard count.
+  monitor_->attach();
 }
 
 const control::FlowDb& TestBed::flow_db() const { return adapter_->flow_db(); }
@@ -212,12 +159,6 @@ void TestBed::schedule_batch_at(
 
 void TestBed::start_traffic(net::FlowId flow, net::NodeId ingress, double pps,
                             std::uint32_t n_packets, std::int32_t ttl) {
-  if (sharded_ != nullptr) {
-    throw std::logic_error(
-        "TestBed::start_traffic: traffic injection is not supported on the "
-        "sharded engine (zero-delay cross-shard injects cannot respect the "
-        "lookahead); run with shards = 0");
-  }
   const auto gap =
       static_cast<sim::Duration>(static_cast<double>(sim::kSecond) / pps);
   for (std::uint32_t i = 0; i < n_packets; ++i) {
@@ -239,44 +180,7 @@ void TestBed::force_belief(net::FlowId flow, net::Path path) {
   nib.view(flow).update_in_progress = false;
 }
 
-void TestBed::run(sim::Time until) {
-  if (sharded_ == nullptr) {
-    sim_.run(until);
-    return;
-  }
-  sharded_->run(until, [this] { monitor_->check_all(); },
-                params_.shard_check_interval);
-  // End-of-run sweep: the final events may fall between checkpoints.
-  monitor_->check_all();
-}
-
-void TestBed::reserve_events(std::size_t n) {
-  if (sharded_ != nullptr) {
-    sharded_->reserve(n);
-    return;
-  }
-  sim_.reserve(n);
-}
-
-void TestBed::export_shard_stats(obs::MetricsRegistry& reg) const {
-  const int k = sharded_ != nullptr ? sharded_->shards() : 1;
-  reg.gauge("sim.shards").set(static_cast<double>(k));
-  std::size_t peak = 0;
-  for (int s = 0; s < k; ++s) {
-    const sim::Simulator& shard =
-        sharded_ != nullptr ? sharded_->shard(s) : sim_;
-    reg.gauge("sim.shard_events", {{"shard", std::to_string(s)}})
-        .set(static_cast<double>(shard.executed()));
-    peak = std::max(peak, shard.pending_peak());
-  }
-  reg.gauge("sim.pending_peak").set(static_cast<double>(peak));
-}
-
 void TestBed::collect_metrics() {
-  // Fold the per-shard registries into the run registry first (no-op and
-  // idempotent when unsharded); everything below writes into the merged
-  // registry on the caller's thread.
-  fabric_->merge_shard_metrics();
   adapter_->collect_metrics(fabric_->metrics());
   adapter_->flow_db().export_outcomes(fabric_->metrics());
   monitor_->export_violations(fabric_->metrics());

@@ -22,7 +22,6 @@
 #include "harness/system_factory.hpp"
 #include "p4rt/control_channel.hpp"
 #include "p4rt/fabric.hpp"
-#include "sim/parallel_sim.hpp"
 
 namespace p4u::harness {
 
@@ -69,27 +68,14 @@ class TestBed {
   void start_traffic(net::FlowId flow, net::NodeId ingress, double pps,
                      std::uint32_t n_packets, std::int32_t ttl = 64);
 
-  /// Runs the simulation until `until` or until idle. On the sharded
-  /// engine this drives the conservative window loop and sweeps the
-  /// invariant monitor at every multiple of `shard_check_interval`.
-  void run(sim::Time until = sim::seconds(120));
+  /// Runs the simulation until `until` or until idle.
+  void run(sim::Time until = sim::seconds(120)) { sim_.run(until); }
 
-  /// True when this bed runs on the sharded engine (params.shards >= 1 and
-  /// no ScheduleStrategy forced the legacy fallback).
-  [[nodiscard]] bool sharded() const noexcept { return sharded_ != nullptr; }
-  [[nodiscard]] sim::ShardedSimulator* shard_engine() noexcept {
-    return sharded_.get();
-  }
+  /// Always false (one engine); kept for perfbench, which still asks.
+  [[nodiscard]] constexpr bool sharded() const noexcept { return false; }
 
-  /// Pre-sizes event storage (split across shards when sharded).
-  void reserve_events(std::size_t n);
-
-  /// Writes the K-dependent execution stats — sim.shards, per-shard
-  /// sim.shard_events, and the sim.pending_peak heap high-water mark —
-  /// into `reg`. Deliberately NOT the run registry: run reports must stay
-  /// byte-identical across shard counts, so campaigns export these into a
-  /// side report (bench/par's BENCH_par.json).
-  void export_shard_stats(obs::MetricsRegistry& reg) const;
+  /// Pre-sizes event storage for about `n` concurrently pending events.
+  void reserve_events(std::size_t n) { sim_.reserve(n); }
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] p4rt::Fabric& fabric() { return *fabric_; }
@@ -129,11 +115,7 @@ class TestBed {
  private:
   net::Graph graph_;
   TestBedParams params_;
-  std::vector<sim::Duration> ctrl_latencies_;
-  net::ShardPlan shard_plan_;          // empty when running the legacy engine
-  std::unique_ptr<sim::ShardedSimulator> sharded_;  // null = legacy engine
-  std::unique_ptr<sim::Simulator> own_sim_;         // null when sharded
-  sim::Simulator& sim_;  // own_sim_ or the sharded engine's shard 0
+  sim::Simulator sim_;
   std::unique_ptr<p4rt::Fabric> fabric_;
   std::unique_ptr<p4rt::ControlChannel> channel_;
   std::unique_ptr<InvariantMonitor> monitor_;

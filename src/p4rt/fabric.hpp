@@ -17,7 +17,6 @@
 
 #include "faults/fault_plan.hpp"
 #include "net/graph.hpp"
-#include "net/shard_partition.hpp"
 #include "obs/metrics.hpp"
 #include "p4rt/fabric_observer.hpp"
 #include "p4rt/packet.hpp"
@@ -25,10 +24,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/trace.hpp"
-
-namespace p4u::sim {
-class ShardedSimulator;
-}  // namespace p4u::sim
 
 namespace p4u::p4rt {
 
@@ -96,50 +91,6 @@ class Fabric {
   void set_control_channel(ControlChannel* cc) { control_ = cc; }
   [[nodiscard]] ControlChannel* control() noexcept { return control_; }
 
-  // --- sharded-engine routing (DESIGN.md §13) ---
-
-  /// Moves this fabric onto a sharded engine: events route to the shard
-  /// owning their node, and each shard gets a private metrics registry
-  /// (merged back in shard-index order at collect time) so no metric cell
-  /// ever has two writer threads. `sim` passed to the constructor must be
-  /// the engine's shard 0. Call before any event is scheduled; requires an
-  /// empty fault plan, a zero fault model (the probabilistic knobs share
-  /// one RNG), and a disabled trace (one ordered log, many writers).
-  void attach_shards(sim::ShardedSimulator& engine, net::ShardPlan plan);
-
-  [[nodiscard]] bool sharded() const noexcept { return sharded_ != nullptr; }
-  [[nodiscard]] sim::ShardedSimulator* shard_engine() noexcept {
-    return sharded_;
-  }
-  /// Owning shard of a node; the controller context (-1) lives on shard 0.
-  /// Always 0 when unsharded.
-  [[nodiscard]] int shard_of(NodeId node) const {
-    if (sharded_ == nullptr || node < 0) return 0;
-    return shard_plan_.shard_of[static_cast<std::size_t>(node)];
-  }
-  /// The simulator whose thread executes `node`'s events (sim_ when
-  /// unsharded). Virtual "now" is only meaningful per shard while running.
-  [[nodiscard]] sim::Simulator& sim_for(NodeId node);
-  [[nodiscard]] sim::Time now_for(NodeId node);
-  /// The registry `node`'s execution context may write (metrics() when
-  /// unsharded; the owning shard's private registry when sharded).
-  [[nodiscard]] obs::MetricsRegistry& registry_for(NodeId node) {
-    if (sharded_ == nullptr || shard_metrics_.empty()) return metrics_;
-    return *shard_metrics_[static_cast<std::size_t>(shard_of(node))];
-  }
-  /// Folds the per-shard registries into metrics(), in shard-index order.
-  /// Idempotent (merging counters twice would double-count).
-  void merge_shard_metrics();
-  /// Schedules `fn` (built in `exec_ctx`'s execution context) onto the
-  /// shard owning `owner`, `delay` after exec_ctx's clock. The order key is
-  /// drawn from the executing shard's domain, so it follows the
-  /// K-independent per-node handler sequence.
-  void schedule_sharded(NodeId exec_ctx, NodeId owner, sim::Duration delay,
-                        sim::EventTag tag, sim::Simulator::Handler&& fn);
-  /// Absolute-time variant (control-channel arrivals).
-  void schedule_sharded_at(NodeId exec_ctx, NodeId owner, sim::Time at,
-                           sim::EventTag tag, sim::Simulator::Handler&& fn);
-
   // --- observer notification plumbing (SwitchDevice and fabric-internal;
   //     not for scenarios) ---
   void notify_rule_installed(NodeId node, FlowId flow, std::int32_t port);
@@ -162,16 +113,6 @@ class Fabric {
 
   obs::Counter& msg_counter(std::vector<KindCounters>& family,
                             const char* name, NodeId node, const Packet& pkt);
-
-  /// Link-delivery event body (shared by the legacy and sharded schedule
-  /// paths): crash check, rx accounting, hand-off to the switch.
-  void deliver_from_link(NodeId from, NodeId to, std::int32_t in_port,
-                         Packet pkt);
-  /// Per-(node, class) hop-latency histogram for sharded mode, where the
-  /// two global class cells would be float-accumulated by many threads in
-  /// a K-dependent order. Per-node cells have one writer each, and their
-  /// per-cell sums follow the node's deterministic execution order.
-  obs::Histogram& hop_latency_for(NodeId from, bool is_data);
 
   /// Executes one scheduled fault event: observers are notified first (so
   /// they can walk the pre-fault state), then the effect is applied.
@@ -201,13 +142,6 @@ class Fabric {
   obs::Counter crash_drops_;
   obs::Histogram hop_latency_control_;
   obs::Histogram hop_latency_data_;
-
-  // Sharded-engine state (null/empty when unsharded).
-  sim::ShardedSimulator* sharded_ = nullptr;
-  net::ShardPlan shard_plan_;
-  std::vector<std::unique_ptr<obs::MetricsRegistry>> shard_metrics_;
-  bool shard_metrics_merged_ = false;
-  std::vector<std::array<obs::Histogram, 2>> hop_latency_by_node_;
 };
 
 }  // namespace p4u::p4rt

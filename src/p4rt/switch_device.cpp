@@ -30,13 +30,9 @@ SwitchDevice::SwitchDevice(Fabric& fabric, NodeId id, SwitchParams params,
       rng_(rng),
       id_label_(std::to_string(id)) {}
 
-// Every metric this switch touches resolves through registry_for(id_):
-// metrics() when unsharded, the owning shard's private registry when
-// sharded — all of a switch's cells are written by exactly one thread.
-
 obs::Gauge& SwitchDevice::queue_depth_gauge() {
   if (!queue_depth_gauge_.resolved()) {
-    queue_depth_gauge_ = fabric_.registry_for(id_).gauge(
+    queue_depth_gauge_ = fabric_.metrics().gauge(
         "switch.queue_depth", {{"switch", id_label_}});
   }
   return queue_depth_gauge_;
@@ -44,7 +40,7 @@ obs::Gauge& SwitchDevice::queue_depth_gauge() {
 
 obs::Histogram& SwitchDevice::service_histogram() {
   if (!service_hist_.resolved()) {
-    service_hist_ = fabric_.registry_for(id_).histogram(
+    service_hist_ = fabric_.metrics().histogram(
         "switch.service_ms", {{"switch", id_label_}});
   }
   return service_hist_;
@@ -53,7 +49,7 @@ obs::Histogram& SwitchDevice::service_histogram() {
 obs::Counter& SwitchDevice::handled_counter(const Packet& pkt) {
   obs::Counter& c = handled_[pkt.kind_index()];
   if (!c.resolved()) {
-    c = fabric_.registry_for(id_).counter(
+    c = fabric_.metrics().counter(
         "switch.handled", {{"switch", id_label_}, {"msg", message_kind(pkt)}});
   }
   return c;
@@ -61,15 +57,15 @@ obs::Counter& SwitchDevice::handled_counter(const Packet& pkt) {
 
 obs::Counter& SwitchDevice::rule_installs_counter() {
   if (!rule_installs_.resolved()) {
-    rule_installs_ = fabric_.registry_for(id_).counter("switch.rule_installs",
-                                                       {{"switch", id_label_}});
+    rule_installs_ = fabric_.metrics().counter("switch.rule_installs",
+                                               {{"switch", id_label_}});
   }
   return rule_installs_;
 }
 
 obs::Counter& SwitchDevice::crash_dropped_counter() {
   if (!crash_dropped_.resolved()) {
-    crash_dropped_ = fabric_.registry_for(id_).counter(
+    crash_dropped_ = fabric_.metrics().counter(
         "switch.crash_dropped", {{"switch", id_label_}});
   }
   return crash_dropped_;
@@ -77,15 +73,15 @@ obs::Counter& SwitchDevice::crash_dropped_counter() {
 
 obs::Counter& SwitchDevice::installs_rejected_counter() {
   if (!installs_rejected_.resolved()) {
-    installs_rejected_ = fabric_.registry_for(id_).counter(
+    installs_rejected_ = fabric_.metrics().counter(
         "switch.installs_rejected", {{"switch", id_label_}});
   }
   return installs_rejected_;
 }
 
-sim::Time SwitchDevice::now() const { return fabric_.now_for(id_); }
+sim::Time SwitchDevice::now() const { return fabric_.simulator().now(); }
 
-sim::Simulator& SwitchDevice::simulator() { return fabric_.sim_for(id_); }
+sim::Simulator& SwitchDevice::simulator() { return fabric_.simulator(); }
 
 void SwitchDevice::receive(Packet pkt, std::int32_t in_port) {
   enqueue_for_service(std::move(pkt), in_port);

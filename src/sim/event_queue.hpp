@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -38,68 +37,6 @@
 #include "sim/time.hpp"
 
 namespace p4u::sim {
-
-/// Shard-count-independent event-order key source (the sharded engine's
-/// replacement for the global insertion sequence).
-///
-/// The legacy tie-break — a per-simulator counter incremented at schedule
-/// time — encodes *global insertion order*, which depends on how shard
-/// execution interleaves and therefore on K. This domain keys each event by
-/// (origin node, per-origin counter) instead:
-///
-///   word = (origin + 1) << 32 | counter        (44 bits, < Simulator::kMaxSeq)
-///
-/// where `origin` is the tag.node of the event whose handler performed the
-/// scheduling (-1 for the controller/root context). A node's handler
-/// execution sequence is K-independent under conservative windows, and
-/// scheduling calls within a handler happen in program order, so the
-/// counter values — and hence the total (at, word) order — are a pure
-/// function of the simulated system, not of the shard count.
-///
-/// Ownership discipline: each origin's counter cell is written only by the
-/// shard that owns that origin (the root/controller cell belongs to shard
-/// 0), so domains need no atomics; the window barriers order everything.
-class OrderDomain {
- public:
-  static constexpr std::uint32_t kCounterBits = 32;
-  /// Max origins (biased node ids) a domain can key: 2^12 - 1 nodes plus
-  /// the root. Together with the 32-bit counter this fills exactly the 44
-  /// key bits Simulator's heap word affords above the slot bits.
-  static constexpr std::size_t kMaxOrigins = 1u << 12;
-
-  /// `origin_count` = node count + 1 (index 0 is the root/controller -1).
-  explicit OrderDomain(std::size_t origin_count)
-      : counters_(origin_count, 0) {
-    if (origin_count > kMaxOrigins) {
-      throw std::length_error(
-          "OrderDomain: topology exceeds 2^12 - 1 keyable origins");
-    }
-  }
-
-  /// Installs the origin whose handler is about to run. Called by the pop
-  /// path with the popped event's tag.node, and by the coordinator (-1)
-  /// around pre-run setup.
-  void set_current_origin(std::int32_t node) noexcept { current_ = node; }
-  [[nodiscard]] std::int32_t current_origin() const noexcept {
-    return current_;
-  }
-
-  /// Next key word for an event scheduled from the current origin.
-  [[nodiscard]] std::uint64_t next_word() {
-    const auto cell = static_cast<std::size_t>(current_ + 1);
-    std::uint32_t& c = counters_.at(cell);
-    if (c == UINT32_MAX) {
-      throw std::length_error(
-          "OrderDomain: per-origin event counter exhausted");
-    }
-    return (static_cast<std::uint64_t>(cell) << kCounterBits) |
-           static_cast<std::uint64_t>(c++);
-  }
-
- private:
-  std::vector<std::uint32_t> counters_;  // per biased-origin schedule count
-  std::int32_t current_ = -1;            // origin of the running handler
-};
 
 /// Discrete-event scheduler with integer-nanosecond virtual time.
 ///
@@ -162,35 +99,9 @@ class Simulator {
       slot(idx).emplace(std::forward<F>(f));
     }
     tags_[idx] = tag;
-    std::uint64_t word;
-    if (order_ == nullptr) [[likely]] {
-      if (next_seq_ == kMaxSeq) raise_seq_overflow();
-      word = next_seq_++;
-    } else {
-      word = order_->next_word();
-    }
-    heap_push(HeapEntry{at, (word << kSlotBits) | idx});
+    if (next_seq_ == kMaxSeq) raise_seq_overflow();
+    heap_push(HeapEntry{at, (next_seq_++ << kSlotBits) | idx});
   }
-
-  /// Inserts an event whose order key was already drawn (from the sending
-  /// shard's OrderDomain): the cross-shard mailbox drain path. The word
-  /// must be unique within this simulator's lifetime and < 2^44; passing a
-  /// word from anything but an OrderDomain breaks the total order.
-  void schedule_keyed(Time at, std::uint64_t key_word, EventTag tag,
-                      Handler&& fn) {
-    if (at < now_) at = now_;
-    const std::uint32_t idx = allocate_slot();
-    slot(idx) = std::move(fn);
-    tags_[idx] = tag;
-    heap_push(HeapEntry{at, (key_word << kSlotBits) | idx});
-  }
-
-  /// Installs the shard-count-independent key source (nullptr restores the
-  /// insertion-sequence tie-break). Must be installed before any event is
-  /// scheduled: mixing sequence words and domain words in one heap would
-  /// interleave two unrelated key spaces.
-  void set_order_domain(OrderDomain* d) noexcept { order_ = d; }
-  [[nodiscard]] OrderDomain* order_domain() const noexcept { return order_; }
 
   /// Installs the event-ordering strategy (nullptr restores the historical
   /// fast path). The strategy must outlive the simulator or be cleared
@@ -219,8 +130,8 @@ class Simulator {
   [[nodiscard]] bool idle() const noexcept { return heap_.empty(); }
 
   /// Timestamp of the earliest pending event; kTimeInfinity when idle.
-  /// The sharded engine's window scheduler advances to this instead of
-  /// stepping fixed-width windows through empty virtual time.
+  /// Callers that step a run in slices (run(until) in a loop) advance to
+  /// this instead of walking fixed-width slices through empty virtual time.
   [[nodiscard]] Time next_at() const noexcept {
     return heap_.empty() ? kTimeInfinity : heap_.front().at;
   }
@@ -312,7 +223,6 @@ class Simulator {
   std::size_t pending_peak_ = 0;
   bool stopped_ = false;
   ScheduleStrategy* strategy_ = nullptr;
-  OrderDomain* order_ = nullptr;
   // Scratch for strategy_select(); members so the strategy pop path does
   // not allocate per event once warm.
   std::vector<HeapEntry> co_enabled_;

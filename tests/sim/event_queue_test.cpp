@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 namespace p4u::sim {
@@ -129,6 +130,68 @@ TEST(SimulatorTest, ExecutedCounterAccumulates) {
   for (int i = 0; i < 7; ++i) sim.schedule_in(i, [] {});
   sim.run();
   EXPECT_EQ(sim.executed(), 7u);
+}
+
+TEST(SimulatorTest, NextAtIsInfinityWhenIdle) {
+  Simulator sim;
+  EXPECT_EQ(sim.next_at(), kTimeInfinity);
+  sim.schedule_in(milliseconds(3), [] {});
+  sim.run();
+  EXPECT_EQ(sim.next_at(), kTimeInfinity);
+}
+
+TEST(SimulatorTest, NextAtTracksEarliestPendingEvent) {
+  Simulator sim;
+  sim.schedule_in(milliseconds(7), [] {});
+  sim.schedule_in(milliseconds(2), [] {});
+  sim.schedule_in(milliseconds(5), [] {});
+  EXPECT_EQ(sim.next_at(), milliseconds(2));
+  EXPECT_EQ(sim.now(), 0);  // peeking does not advance the clock
+  EXPECT_EQ(sim.run_steps(1), 1u);
+  EXPECT_EQ(sim.next_at(), milliseconds(5));
+  // run(until) stops before next_at(): stepping in slices keyed on it
+  // replays exactly the events a single run() would.
+  EXPECT_EQ(sim.run(milliseconds(6)), 1u);
+  EXPECT_EQ(sim.next_at(), milliseconds(7));
+}
+
+TEST(SimulatorTest, PendingCapThrowsAndLeavesQueueDrainable) {
+  // 2^20 concurrently pending events is the slot-index cap (kSlotBits).
+  constexpr std::size_t kCap = std::size_t{1} << 20;
+  Simulator sim;
+  struct Check {
+    Time last_at = -1;
+    std::size_t last_i = 0;
+    std::size_t ran = 0;
+    bool in_order = true;
+  } check;
+  for (std::size_t i = 0; i < kCap; ++i) {
+    // A handful of distinct timestamps, scheduled out of time order, so
+    // draining exercises both the time order and the insertion tie-break.
+    const Duration at = static_cast<Duration>((kCap - i) % 5);
+    sim.schedule_in(at, [&sim, &check, i] {
+      const bool ordered =
+          check.ran == 0 || sim.now() > check.last_at ||
+          (sim.now() == check.last_at && i > check.last_i);
+      check.in_order = check.in_order && ordered;
+      check.last_at = sim.now();
+      check.last_i = i;
+      ++check.ran;
+    });
+  }
+  ASSERT_EQ(sim.pending(), kCap);
+  EXPECT_THROW(sim.schedule_in(0, [] {}), std::length_error);
+  EXPECT_EQ(sim.pending(), kCap);  // the rejected event left no trace
+
+  EXPECT_EQ(sim.run(), kCap);
+  EXPECT_EQ(check.ran, kCap);
+  EXPECT_TRUE(check.in_order);
+  EXPECT_TRUE(sim.idle());
+  // Drained slots recycle: the engine accepts work again.
+  bool after = false;
+  sim.schedule_in(0, [&after] { after = true; });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(after);
 }
 
 TEST(TimeTest, ConversionHelpers) {

@@ -29,11 +29,11 @@ checker bans them:
   thread-containment  raw threading primitives (std::thread/jthread, the
                   mutex family, condition variables, atomics, futures,
                   latches/barriers/semaphores) in campaign-critical code
-                  outside the sanctioned parallel engine (--thread-allow,
-                  default: src/sim/parallel*, src/harness/parallel_runner*).
-                  Ad-hoc threading is how nondeterminism leaks into merged
-                  reports; cross-shard work must go through the sharded
-                  engine's mailboxes so ordering stays keyed and replayable.
+                  outside the campaign job runner (--thread-allow,
+                  default: src/harness/parallel_runner*). Ad-hoc threading
+                  is how nondeterminism leaks into merged reports; parallel
+                  work must be whole seeded jobs on that runner, each with
+                  its own simulator, merged in job order.
                   Template-argument mentions (e.g. lock_guard<std::mutex>)
                   are not flagged — the primitive's declaration site is the
                   containment point.
@@ -66,9 +66,9 @@ DEFAULT_PATHS = ("src", "bench", "examples", "tests")
 # unordered-iter only applies to campaign-critical code: the library that
 # produces, merges, and reports campaign results.
 DEFAULT_CRITICAL = ("src",)
-# thread-containment exempts the sanctioned parallel machinery: the sharded
-# engine (workers, mailboxes, window barrier) and the campaign job runner.
-DEFAULT_THREAD_ALLOW = ("src/sim/parallel", "src/harness/parallel_runner")
+# thread-containment exempts the one sanctioned parallel component: the
+# campaign job runner (seed parallelism, results merged in job order).
+DEFAULT_THREAD_ALLOW = ("src/harness/parallel_runner",)
 SOURCE_SUFFIXES = {".cpp", ".hpp", ".cc", ".hh", ".h"}
 
 RULES = ("wall-clock", "raw-rand", "env-read", "unordered-iter",

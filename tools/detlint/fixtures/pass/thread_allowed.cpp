@@ -1,4 +1,4 @@
-// Fixture: the sanctioned shape for threading outside the parallel-engine
+// Fixture: the sanctioned shape for threading outside the job-runner
 // allowlist — a single annotated primitive declaration whose reason names
 // what it guards, plus lock sites that mention the type only in template-
 // argument position (never flagged; the declaration is the containment
