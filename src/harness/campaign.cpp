@@ -45,8 +45,9 @@ RunOutcome run_single_flow_job(const RunSpec& spec, std::uint64_t seed) {
   params.measure_prep_wallclock = false;  // keep the registry deterministic
   const auto strategy = install_strategy(spec, params, seed);
   TestBed bed(*spec.graph, params);
-  // Pre-size the event pool from the spec: a single-flow update touches each
-  // node a bounded number of times (service, UNM hops, installs, retries).
+  // Size the event bookkeeping from the spec: a single-flow update touches
+  // each node a bounded number of times (service, UNM hops, installs,
+  // retries).
   bed.reserve_events(spec.graph->node_count() * 96 + 512);
 
   net::Flow f;
@@ -78,7 +79,8 @@ RunOutcome run_multi_flow_job(const RunSpec& spec, std::uint64_t seed) {
   const auto strategy = install_strategy(spec, params, seed);
   TestBed bed(*spec.graph, params);
   // Event volume scales with both the topology and the flow batch; the
-  // estimate only pre-sizes slabs, so overshoot costs memory, not time.
+  // estimate only sizes bookkeeping (handler slabs come on first use), so
+  // overshoot costs address space, not time or resident memory.
   bed.reserve_events(spec.graph->node_count() * 64 + flows.size() * 192 +
                      512);
 

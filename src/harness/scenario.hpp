@@ -74,7 +74,8 @@ class TestBed {
   /// Always false (one engine); kept for perfbench, which still asks.
   [[nodiscard]] constexpr bool sharded() const noexcept { return false; }
 
-  /// Pre-sizes event storage for about `n` concurrently pending events.
+  /// Reserves event bookkeeping for about `n` concurrently pending events;
+  /// handler slabs are still allocated on first use (Simulator::reserve).
   void reserve_events(std::size_t n) { sim_.reserve(n); }
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }

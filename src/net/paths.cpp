@@ -68,6 +68,22 @@ SpTree dijkstra(const Graph& g, NodeId src, Metric metric) {
   return dijkstra_masked(g, src, metric, nullptr, nullptr);
 }
 
+std::vector<std::int32_t> first_hop_ports(const Graph& g, NodeId src,
+                                          Metric metric) {
+  const SpTree t = dijkstra(g, src, metric);
+  std::vector<std::int32_t> ports(g.node_count(), -1);
+  for (std::size_t dst = 0; dst < ports.size(); ++dst) {
+    if (static_cast<NodeId>(dst) == src || t.dist[dst] == kInf) continue;
+    // Walk the parent chain back to the tree child of src.
+    NodeId hop = static_cast<NodeId>(dst);
+    while (t.parent[static_cast<std::size_t>(hop)] != src) {
+      hop = t.parent[static_cast<std::size_t>(hop)];
+    }
+    ports[dst] = g.port_of(src, hop);
+  }
+  return ports;
+}
+
 std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
                                   Metric metric) {
   const SpTree t = dijkstra(g, src, metric);

@@ -3,6 +3,7 @@
 // flow on the shortest path and the new flow on the 2nd-shortest (§9.1).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -25,6 +26,13 @@ struct SpTree {
   std::vector<NodeId> parent;
 };
 SpTree dijkstra(const Graph& g, NodeId src, Metric metric = Metric::kLatency);
+
+/// Egress port at `src` of the first hop toward every destination, indexed
+/// by NodeId: -1 for `src` itself and for unreachable nodes. One Dijkstra
+/// serves all destinations; each port equals the one toward
+/// shortest_path(g, src, dst)[1], since the tree does not depend on dst.
+std::vector<std::int32_t> first_hop_ports(const Graph& g, NodeId src,
+                                          Metric metric = Metric::kLatency);
 
 /// Shortest path src -> dst; nullopt if unreachable.
 std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,

@@ -29,12 +29,12 @@ void Simulator::reserve(std::size_t n) {
   if (n > kMaxSlots) n = kMaxSlots;
   heap_.reserve(n);
   free_.reserve(n);
+  // Capacity only: the slabs themselves come from allocate_slot() when
+  // the first fresh slot of each one is used, so an over-large hint costs
+  // address space, not resident memory or a fill pass.
   const std::size_t want_slabs = (n + kSlabSize - 1) >> kSlabShift;
   slabs_.reserve(want_slabs);
-  while (slabs_.size() < want_slabs) {
-    slabs_.push_back(std::make_unique<Slot[]>(kSlabSize));
-    tags_.resize(tags_.size() + kSlabSize);
-  }
+  tags_.reserve(want_slabs << kSlabShift);
 }
 
 void Simulator::heap_push(HeapEntry e) {

@@ -115,8 +115,11 @@ class Simulator {
     return strategy_;
   }
 
-  /// Pre-sizes the heap and the handler slab for about `n` concurrently
-  /// pending events, so a run of known scale never regrows mid-flight.
+  /// Reserves bookkeeping capacity (heap, free list, tag array, slab
+  /// pointer list) for about `n` concurrently pending events, so those
+  /// vectors never regrow mid-flight. No handler slab is built here: each
+  /// 1024-slot slab is allocated when its first fresh slot is used, so the
+  /// pool's footprint tracks the run's real pending peak, not the hint.
   void reserve(std::size_t n);
 
   /// Runs events until the queue drains or virtual time exceeds `until`.
@@ -143,6 +146,12 @@ class Simulator {
   /// gauge): how deep the ready queue ever got.
   [[nodiscard]] std::size_t pending_peak() const noexcept {
     return pending_peak_;
+  }
+
+  /// Handler slots backed by allocated slabs (a multiple of the 1024-slot
+  /// slab size): the pool's footprint, which grows on first use only.
+  [[nodiscard]] std::size_t slots_allocated() const noexcept {
+    return slabs_.size() << kSlabShift;
   }
 
   /// Total number of events executed since construction.

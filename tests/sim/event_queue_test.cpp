@@ -159,6 +159,7 @@ TEST(SimulatorTest, PendingCapThrowsAndLeavesQueueDrainable) {
   // 2^20 concurrently pending events is the slot-index cap (kSlotBits).
   constexpr std::size_t kCap = std::size_t{1} << 20;
   Simulator sim;
+  sim.reserve(kCap);  // a full-size hint must not change the cap's edge
   struct Check {
     Time last_at = -1;
     std::size_t last_i = 0;
@@ -192,6 +193,70 @@ TEST(SimulatorTest, PendingCapThrowsAndLeavesQueueDrainable) {
   sim.schedule_in(0, [&after] { after = true; });
   EXPECT_EQ(sim.run(), 1u);
   EXPECT_TRUE(after);
+}
+
+TEST(SimulatorTest, ReserveAllocatesNoSlab) {
+  // The hint sizes bookkeeping only; handler slabs come on first use.
+  Simulator sim;
+  sim.reserve(std::size_t{1} << 20);
+  EXPECT_EQ(sim.slots_allocated(), 0u);
+  sim.schedule_in(0, [] {});
+  EXPECT_EQ(sim.slots_allocated(), 1024u);
+}
+
+TEST(SimulatorTest, PoolGrowsOneSlabAtATimeOnFreshSlots) {
+  constexpr std::size_t kSlab = 1024;
+  Simulator sim;
+  EXPECT_EQ(sim.slots_allocated(), 0u);
+  for (std::size_t i = 0; i < kSlab; ++i) sim.schedule_in(1, [] {});
+  EXPECT_EQ(sim.slots_allocated(), kSlab);  // exactly one slab, full
+  sim.schedule_in(1, [] {});
+  EXPECT_EQ(sim.slots_allocated(), 2 * kSlab);  // first fresh slot of #2
+  for (std::size_t i = 0; i + 1 < kSlab; ++i) sim.schedule_in(1, [] {});
+  EXPECT_EQ(sim.slots_allocated(), 2 * kSlab);
+  sim.schedule_in(1, [] {});
+  EXPECT_EQ(sim.slots_allocated(), 3 * kSlab);
+
+  // Drained slots recycle from the free list: the pool does not grow again
+  // until the pending count exceeds what it has already held.
+  EXPECT_EQ(sim.run(), 2 * kSlab + 1);
+  for (std::size_t i = 0; i < 2 * kSlab + 1; ++i) sim.schedule_in(1, [] {});
+  EXPECT_EQ(sim.slots_allocated(), 3 * kSlab);
+  EXPECT_EQ(sim.run(), 2 * kSlab + 1);
+}
+
+TEST(SimulatorTest, ReservedAndUnreservedPopIdenticalSchedule) {
+  // A mixed schedule: out-of-order timestamps, same-time ties, handlers
+  // that schedule more work, and a pending peak that spans several slabs.
+  // Slot numbering never feeds the (at, seq) order, so a reserved pool and
+  // one grown on demand must pop the same sequence.
+  struct Pop {
+    Time at;
+    int id;
+    bool operator==(const Pop&) const = default;
+  };
+  auto drive = [](bool reserved) {
+    Simulator sim;
+    if (reserved) sim.reserve(std::size_t{1} << 20);
+    std::vector<Pop> pops;
+    for (int i = 0; i < 3000; ++i) {
+      const Duration at = static_cast<Duration>((i * 7919) % 13);
+      sim.schedule_in(at, [&sim, &pops, i] {
+        pops.push_back({sim.now(), i});
+        if (i % 3 == 0) {
+          sim.schedule_in(static_cast<Duration>(i % 4), [&sim, &pops, i] {
+            pops.push_back({sim.now(), -i - 1});
+          });
+        }
+      });
+    }
+    sim.run();
+    return pops;
+  };
+  const std::vector<Pop> lazy = drive(false);
+  const std::vector<Pop> eager = drive(true);
+  EXPECT_EQ(lazy.size(), 4000u);
+  EXPECT_TRUE(lazy == eager);
 }
 
 TEST(TimeTest, ConversionHelpers) {
