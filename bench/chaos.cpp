@@ -18,9 +18,9 @@
 // Emits BENCH_chaos.json (per-spec violations/outcomes) plus the usual
 // --out run report. Deterministic for any --jobs value.
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/bench_cli.hpp"
@@ -28,6 +28,7 @@
 #include "net/fattree.hpp"
 #include "net/topologies.hpp"
 #include "net/topology_zoo.hpp"
+#include "obs/run_report.hpp"
 
 namespace {
 
@@ -134,49 +135,6 @@ std::uint64_t outcome_count(const obs::MetricsRegistry& m,
   return m.counter_value("ctrl.outcome", {{"outcome", outcome}});
 }
 
-void write_bench_json(const std::string& out_dir,
-                      const std::vector<SpecResult>& results, bool smoke) {
-  if (!out_dir.empty()) std::filesystem::create_directories(out_dir);
-  const std::string path =
-      (out_dir.empty() ? std::string{} : out_dir + "/") + "BENCH_chaos.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "chaos: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"chaos\",\n  \"mode\": \"%s\",\n",
-               smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"specs\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const SpecResult& sr = results[i];
-    const auto& r = sr.result;
-    std::fprintf(f, "    {\"slug\": \"%s\", ", sr.slug.c_str());
-    std::fprintf(f,
-                 "\"loops\": %llu, \"blackholes\": %llu, "
-                 "\"faulted_walks\": %llu, \"incomplete_runs\": %llu, ",
-                 static_cast<unsigned long long>(r.violations.loops),
-                 static_cast<unsigned long long>(r.violations.blackholes),
-                 static_cast<unsigned long long>(r.violations.faulted_walks),
-                 static_cast<unsigned long long>(r.incomplete_runs));
-    std::fprintf(
-        f,
-        "\"completed\": %llu, \"rolled_back\": %llu, \"abandoned\": %llu, "
-        "\"resends\": %llu, \"repairs\": %llu}%s\n",
-        static_cast<unsigned long long>(outcome_count(r.metrics, "completed")),
-        static_cast<unsigned long long>(
-            outcome_count(r.metrics, "rolled-back")),
-        static_cast<unsigned long long>(outcome_count(r.metrics, "abandoned")),
-        static_cast<unsigned long long>(
-            r.metrics.counter_total("ctrl.recovery_resends")),
-        static_cast<unsigned long long>(
-            r.metrics.counter_total("ctrl.recovery_repairs")),
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("chaos trajectory: %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -200,6 +158,7 @@ int main(int argc, char** argv) {
   const std::vector<SpecResult> results = campaign.run(cli.jobs);
 
   bool p4u_clean = true;
+  obs::Json specs = obs::Json::array();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::printf("\n================ %s ================\n", rows[i].title);
     for (std::size_t s = 0; s < 3; ++s) {
@@ -226,6 +185,20 @@ int main(int argc, char** argv) {
         p4u_clean = p4u_clean && r.violations.loops == 0 &&
                     r.violations.blackholes == 0 && r.incomplete_runs == 0;
       }
+      specs.push(
+          obs::Json::object()
+              .set("slug", sr.slug)
+              .set("loops", r.violations.loops)
+              .set("blackholes", r.violations.blackholes)
+              .set("faulted_walks", r.violations.faulted_walks)
+              .set("incomplete_runs", r.incomplete_runs)
+              .set("completed", completed)
+              .set("rolled_back", rolled)
+              .set("abandoned", abandoned)
+              .set("resends",
+                   r.metrics.counter_total("ctrl.recovery_resends"))
+              .set("repairs",
+                   r.metrics.counter_total("ctrl.recovery_repairs")));
     }
   }
 
@@ -237,7 +210,10 @@ int main(int argc, char** argv) {
   if (!report_path.empty()) {
     std::printf("\nrun report: %s\n", report_path.c_str());
   }
-  write_bench_json(cli.out_dir, results, cli.smoke);
+  const std::string json_path = obs::write_json(
+      cli.out_dir, "BENCH_chaos.json",
+      obs::bench_json("chaos", cli.smoke).set("specs", std::move(specs)));
+  std::printf("chaos trajectory: %s\n", json_path.c_str());
 
   std::printf("\n---- verdict ----\n");
   std::printf("P4Update: zero loops/blackholes and every update terminal "

@@ -20,19 +20,17 @@
 // Gates: every request terminal in every run (liveness), zero
 // loop/blackhole violations on the P4Update rows, and the --jobs 1 vs
 // --jobs N campaign reports byte-identical.
-#include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/campaign.hpp"
 #include "net/fattree.hpp"
 #include "net/topologies.hpp"
+#include "obs/run_report.hpp"
 
 namespace {
 
@@ -106,18 +104,6 @@ RunSpec spec_for(const ChurnRow& row, SystemKind kind, const ChurnTable& t,
   return spec;
 }
 
-/// Byte-compares two files; false when either cannot be read.
-bool files_identical(const std::string& a, const std::string& b) {
-  std::ifstream fa(a, std::ios::binary);
-  std::ifstream fb(b, std::ios::binary);
-  if (!fa || !fb) return false;
-  std::stringstream sa;
-  std::stringstream sb;
-  sa << fa.rdbuf();
-  sb << fb.rdbuf();
-  return sa.str() == sb.str();
-}
-
 /// Mean of one histogram family's observations (0 when absent) — the
 /// per-run scalars (tails, peaks) land one observation per seeded run.
 double hist_mean(const obs::MetricsRegistry& m, const std::string& name) {
@@ -189,47 +175,20 @@ int main(int argc, char** argv) {
 
   // The determinism gate: the same campaign merged from 1 worker and from
   // N workers must produce byte-identical reports.
-  const int n_jobs = cli.jobs > 0 ? cli.jobs : 4;
-  const std::vector<SpecResult> serial = campaign.run(1);
-  const std::vector<SpecResult> parallel = campaign.run(n_jobs);
-
-  std::string report_root = cli.out_dir;
-  if (report_root.empty()) {
-    report_root = (std::filesystem::temp_directory_path() /
-                   "p4u_churn_reports").string();
-  }
-  const std::vector<std::pair<std::string, std::string>> meta = {
-      {"campaign", "churn"},
-      {"topology", "fat-tree(8)"},
-      {"arrivals_per_sec", std::to_string(table.arrivals_per_sec)}};
-  const std::string rep1 = harness::write_campaign_report(
-      report_root + "/jobs1", "churn", meta, serial);
-  const std::string repN = harness::write_campaign_report(
-      report_root + "/jobs" + std::to_string(n_jobs), "churn", meta,
-      parallel);
-  const bool identical = files_identical(rep1, repN);
-  std::printf("reports: %s vs %s -> %s\n", rep1.c_str(), repN.c_str(),
-              identical ? "byte-identical" : "DIFFERENT");
+  const harness::JobsGate gate = harness::run_jobs_gate(
+      campaign, cli.jobs, cli.out_dir, "churn",
+      {{"campaign", "churn"},
+       {"topology", "fat-tree(8)"},
+       {"arrivals_per_sec", std::to_string(table.arrivals_per_sec)}});
+  std::printf("reports: %s vs %s -> %s\n", gate.serial_report.c_str(),
+              gate.parallel_report.c_str(),
+              gate.identical ? "byte-identical" : "DIFFERENT");
 
   // Per-spec verdicts + the BENCH_churn.json trajectory artifact.
   bool all_terminal = true;
   bool p4u_clean = true;
-  if (!cli.out_dir.empty()) std::filesystem::create_directories(cli.out_dir);
-  const std::string json_path =
-      (cli.out_dir.empty() ? std::string{} : cli.out_dir + "/") +
-      "BENCH_churn.json";
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"churn\",\n  \"mode\": \"%s\",\n",
-                 cli.smoke ? "smoke" : "full");
-    std::fprintf(f, "  \"topology\": \"fat-tree(8)\",\n");
-    std::fprintf(f, "  \"arrivals_per_sec\": %.1f,\n", table.arrivals_per_sec);
-    std::fprintf(f, "  \"jobs_reports_identical\": %s,\n",
-                 identical ? "true" : "false");
-    std::fprintf(f, "  \"specs\": [\n");
-  }
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    const SpecResult& sr = serial[i];
+  obs::Json specs = obs::Json::array();
+  for (const SpecResult& sr : gate.serial) {
     const auto& r = sr.result;
     const obs::MetricsRegistry& m = r.metrics;
     const bool terminal = r.incomplete_runs == 0;
@@ -241,82 +200,62 @@ int main(int argc, char** argv) {
     const double ups = r.update_times_ms.count() > 0
                            ? r.update_times_ms.mean()
                            : 0.0;
+    const double p50 = hist_mean(m, "churn.latency_p50_ms");
+    const double p99 = hist_mean(m, "churn.latency_p99_ms");
+    const double p999 = hist_mean(m, "churn.latency_p999_ms");
+    const double queue_peak = hist_max(m, "churn.queue_peak");
+    const double inflight_peak = hist_max(m, "churn.inflight_peak");
     std::printf(
         "%-42s %8.1f req/s  p50 %7.2f ms  p99 %7.2f ms  p999 %7.2f ms  "
         "peak q=%.0f/i=%.0f  coalesced %llu  %s\n",
-        sr.slug.c_str(), ups, hist_mean(m, "churn.latency_p50_ms"),
-        hist_mean(m, "churn.latency_p99_ms"),
-        hist_mean(m, "churn.latency_p999_ms"),
-        hist_max(m, "churn.queue_peak"), hist_max(m, "churn.inflight_peak"),
+        sr.slug.c_str(), ups, p50, p99, p999, queue_peak, inflight_peak,
         static_cast<unsigned long long>(m.counter_total("churn.coalesced")),
         terminal ? "all-terminal" : "INCOMPLETE");
-    if (f != nullptr) {
-      std::fprintf(f, "    {\"slug\": \"%s\",\n", sr.slug.c_str());
-      std::fprintf(f, "     \"updates_per_sec_mean\": %.3f,\n", ups);
-      std::fprintf(f, "     \"latency_p50_ms\": %.4f,\n",
-                   hist_mean(m, "churn.latency_p50_ms"));
-      std::fprintf(f, "     \"latency_p99_ms\": %.4f,\n",
-                   hist_mean(m, "churn.latency_p99_ms"));
-      std::fprintf(f, "     \"latency_p999_ms\": %.4f,\n",
-                   hist_mean(m, "churn.latency_p999_ms"));
-      std::fprintf(f, "     \"queue_peak\": %.0f,\n",
-                   hist_max(m, "churn.queue_peak"));
-      std::fprintf(f, "     \"inflight_peak\": %.0f,\n",
-                   hist_max(m, "churn.inflight_peak"));
-      std::fprintf(
-          f, "     \"dispatched\": %llu, \"coalesced\": %llu,\n",
-          static_cast<unsigned long long>(m.counter_total("churn.dispatched")),
-          static_cast<unsigned long long>(m.counter_total("churn.coalesced")));
-      std::fprintf(
-          f,
-          "     \"superseded\": %llu, \"rolled_back\": %llu, "
-          "\"abandoned\": %llu,\n",
-          static_cast<unsigned long long>(requests_in_state(m, "superseded")),
-          static_cast<unsigned long long>(requests_in_state(m, "rolled-back")),
-          static_cast<unsigned long long>(requests_in_state(m, "abandoned")));
-      std::fprintf(
-          f,
-          "     \"preflight\": {\"safe\": %llu, \"unsafe\": %llu, "
-          "\"unknown\": %llu, \"skipped\": %llu},\n",
-          static_cast<unsigned long long>(
-              m.counter_total("ctrl.preflight_safe")),
-          static_cast<unsigned long long>(
-              m.counter_total("ctrl.preflight_unsafe")),
-          static_cast<unsigned long long>(
-              m.counter_total("ctrl.preflight_unknown")),
-          static_cast<unsigned long long>(
-              m.counter_total("ctrl.preflight_skipped")));
-      std::fprintf(
-          f,
-          "     \"recovery\": {\"resends\": %llu, \"repairs\": %llu, "
-          "\"retriggers\": %llu},\n",
-          static_cast<unsigned long long>(
-              m.counter_total("ctrl.recovery_resends")),
-          static_cast<unsigned long long>(
-              m.counter_total("ctrl.recovery_repairs")),
-          static_cast<unsigned long long>(m.counter_total("ctrl.retriggers")));
-      std::fprintf(
-          f,
-          "     \"incomplete_runs\": %llu, \"loops\": %llu, "
-          "\"blackholes\": %llu}%s\n",
-          static_cast<unsigned long long>(r.incomplete_runs),
-          static_cast<unsigned long long>(r.violations.loops),
-          static_cast<unsigned long long>(r.violations.blackholes),
-          i + 1 < serial.size() ? "," : "");
-    }
+    specs.push(
+        obs::Json::object()
+            .set("slug", sr.slug)
+            .set("updates_per_sec_mean", obs::Json::fixed(ups, 3))
+            .set("latency_p50_ms", obs::Json::fixed(p50, 4))
+            .set("latency_p99_ms", obs::Json::fixed(p99, 4))
+            .set("latency_p999_ms", obs::Json::fixed(p999, 4))
+            .set("queue_peak", obs::Json::fixed(queue_peak, 0))
+            .set("inflight_peak", obs::Json::fixed(inflight_peak, 0))
+            .set("dispatched", m.counter_total("churn.dispatched"))
+            .set("coalesced", m.counter_total("churn.coalesced"))
+            .set("superseded", requests_in_state(m, "superseded"))
+            .set("rolled_back", requests_in_state(m, "rolled-back"))
+            .set("abandoned", requests_in_state(m, "abandoned"))
+            .set("preflight",
+                 obs::Json::object()
+                     .set("safe", m.counter_total("ctrl.preflight_safe"))
+                     .set("unsafe", m.counter_total("ctrl.preflight_unsafe"))
+                     .set("unknown", m.counter_total("ctrl.preflight_unknown"))
+                     .set("skipped",
+                          m.counter_total("ctrl.preflight_skipped")))
+            .set("recovery",
+                 obs::Json::object()
+                     .set("resends", m.counter_total("ctrl.recovery_resends"))
+                     .set("repairs", m.counter_total("ctrl.recovery_repairs"))
+                     .set("retriggers", m.counter_total("ctrl.retriggers")))
+            .set("incomplete_runs", r.incomplete_runs)
+            .set("loops", r.violations.loops)
+            .set("blackholes", r.violations.blackholes));
   }
-  if (f != nullptr) {
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("churn trajectory: %s\n", json_path.c_str());
-  }
+  const std::string json_path = obs::write_json(
+      cli.out_dir, "BENCH_churn.json",
+      obs::bench_json("churn", cli.smoke)
+          .set("topology", "fat-tree(8)")
+          .set("arrivals_per_sec", obs::Json::fixed(table.arrivals_per_sec, 1))
+          .set("jobs_reports_identical", gate.identical)
+          .set("specs", std::move(specs)));
+  std::printf("churn trajectory: %s\n", json_path.c_str());
 
   std::printf("\n---- verdict ----\n");
   std::printf("every request terminal in every run: %s\n",
               all_terminal ? "YES" : "NO");
   std::printf("P4Update rows free of loops/blackholes: %s\n",
               p4u_clean ? "YES" : "NO");
-  std::printf("--jobs 1 and --jobs %d reports byte-identical: %s\n", n_jobs,
-              identical ? "YES" : "NO");
-  return all_terminal && p4u_clean && identical ? 0 : 1;
+  std::printf("--jobs 1 and --jobs %d reports byte-identical: %s\n",
+              gate.jobs, gate.identical ? "YES" : "NO");
+  return all_terminal && p4u_clean && gate.identical ? 0 : 1;
 }

@@ -12,13 +12,12 @@
 // forever instead of requiring a checkout of the old tree.
 //
 // Numbers are a trajectory artifact, not a gate: the bench emits
-// BENCH_hotpath.json (plus the usual --out run report) and CI uploads it so
-// regressions show up as a curve, without flaky wall-clock thresholds.
+// BENCH_hotpath.json (no campaign report) and CI uploads it so regressions
+// show up as a curve, without flaky wall-clock thresholds.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <functional>
 #include <queue>
 #include <string>
@@ -223,30 +222,6 @@ double best_of(int reps, F&& f) {
   return best;
 }
 
-void write_bench_json(const std::string& out_dir,
-                      const std::vector<CaseResult>& results, bool smoke) {
-  if (!out_dir.empty()) std::filesystem::create_directories(out_dir);
-  const std::string path =
-      (out_dir.empty() ? std::string{} : out_dir + "/") + "BENCH_hotpath.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "hotpath: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"hotpath\",\n  \"mode\": \"%s\",\n",
-               smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"unit\": \"events/sec\",\n  \"cases\": {\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    std::fprintf(f, "    \"%s\": %.1f%s\n",
-                 obs::json_escape(results[i].name).c_str(),
-                 results[i].events_per_sec,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -288,12 +263,19 @@ int main(int argc, char** argv) {
                                              campaign_runs, cli.jobs)});
 
   std::printf("%-20s %15s\n", "case", "events/sec");
+  obs::Json cases = obs::Json::object();
   for (const CaseResult& r : results) {
     std::printf("%-20s %15.0f\n", r.name.c_str(), r.events_per_sec);
+    cases.set(r.name, obs::Json::fixed(r.events_per_sec, 1));
   }
   std::printf("%-20s %14.2fx\n", "dispatch.speedup",
               inline_rate / legacy_rate);
 
-  write_bench_json(cli.out_dir, results, cli.smoke);
+  const std::string path = obs::write_json(
+      cli.out_dir, "BENCH_hotpath.json",
+      obs::bench_json("hotpath", cli.smoke)
+          .set("unit", "events/sec")
+          .set("cases", std::move(cases)));
+  std::printf("wrote %s\n", path.c_str());
   return 0;
 }

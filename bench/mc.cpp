@@ -21,11 +21,11 @@
 // across the table deterministically. --strategy seeded runs each cell once
 // per seed without exploring; --replay re-executes a recorded artifact.
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/bench_cli.hpp"
@@ -33,6 +33,7 @@
 #include "harness/parallel_runner.hpp"
 #include "harness/static_check.hpp"
 #include "net/topologies.hpp"
+#include "obs/run_report.hpp"
 #include "sim/explorer.hpp"
 #include "sim/schedule.hpp"
 #include "verify/verifier.hpp"
@@ -268,57 +269,6 @@ CellResult explore_cell(const McConfig& cfg, SystemKind kind,
   return out;
 }
 
-std::string out_path(const std::string& out_dir, const std::string& file) {
-  if (out_dir.empty()) return file;
-  std::filesystem::create_directories(out_dir);
-  return out_dir + "/" + file;
-}
-
-void write_bench_json(const std::string& out_dir,
-                      const std::vector<CellResult>& cells, bool smoke) {
-  std::uint64_t total_interleavings = 0;
-  std::uint64_t total_runs = 0;
-  for (const CellResult& c : cells) {
-    total_interleavings += c.stats.interleavings;
-    total_runs += c.stats.runs;
-  }
-  const std::string path = out_path(out_dir, "BENCH_mc.json");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "mc: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"mc\",\n  \"mode\": \"%s\",\n",
-               smoke ? "smoke" : "full");
-  std::fprintf(f,
-               "  \"total_interleavings\": %llu,\n  \"total_runs\": %llu,\n",
-               static_cast<unsigned long long>(total_interleavings),
-               static_cast<unsigned long long>(total_runs));
-  std::fprintf(f, "  \"cells\": [\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    const sim::ExplorerStats& s = c.stats;
-    std::fprintf(
-        f,
-        "    {\"config\": \"%s\", \"system\": \"%s\", "
-        "\"interleavings\": %llu, \"runs\": %llu, \"choice_points\": %llu, "
-        "\"sleep_pruned\": %llu, \"redundant_paths\": %llu, "
-        "\"max_frontier\": %llu, \"failures\": %llu, \"exhausted\": %s}%s\n",
-        c.cfg->slug, harness::to_string(c.system),
-        static_cast<unsigned long long>(s.interleavings),
-        static_cast<unsigned long long>(s.runs),
-        static_cast<unsigned long long>(s.choice_points),
-        static_cast<unsigned long long>(s.sleep_pruned),
-        static_cast<unsigned long long>(s.redundant_paths),
-        static_cast<unsigned long long>(s.max_frontier),
-        static_cast<unsigned long long>(s.failures),
-        s.exhausted ? "true" : "false", i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("mc trajectory: %s\n", path.c_str());
-}
-
 /// --static-verify: the static update-plan verifier (DESIGN.md §12) must
 /// agree with every exhausted exploration — a Safe verdict on a cell that
 /// exhibited a loop/blackhole is a false Safe (hard failure), an Unsafe
@@ -475,6 +425,8 @@ int main(int argc, char** argv) {
   bool p4u_clean = true;
   bool all_exhausted = true;
   std::uint64_t total_interleavings = 0;
+  std::uint64_t total_runs = 0;
+  obs::Json cells_json = obs::Json::array();
   for (const CellResult& c : results) {
     const sim::ExplorerStats& s = c.stats;
     std::printf(
@@ -490,25 +442,40 @@ int main(int argc, char** argv) {
         s.exhausted ? "" : "  [NOT EXHAUSTED]",
         c.first_counterexample.empty() ? "" : "  [counterexample recorded]");
     total_interleavings += s.interleavings;
+    total_runs += s.runs;
     all_exhausted = all_exhausted && s.exhausted;
     if (c.system == SystemKind::kP4Update) {
       p4u_clean = p4u_clean && s.failures == 0 && s.exhausted;
     }
     if (!c.first_counterexample.empty()) {
-      const std::string path = out_path(
-          cli.out_dir, std::string("MC_counterexample_") + c.cfg->slug + "_" +
-                           harness::to_string(c.system) + ".json");
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      if (f != nullptr) {
-        std::fputs(c.first_counterexample.c_str(), f);
-        std::fclose(f);
-        std::printf("    counterexample (%s): %s\n", c.first_failure.c_str(),
-                    path.c_str());
-      }
+      const std::string path = obs::write_json(
+          cli.out_dir,
+          std::string("MC_counterexample_") + c.cfg->slug + "_" +
+              harness::to_string(c.system) + ".json",
+          obs::Json::raw(c.first_counterexample));
+      std::printf("    counterexample (%s): %s\n", c.first_failure.c_str(),
+                  path.c_str());
     }
+    cells_json.push(obs::Json::object()
+                        .set("config", c.cfg->slug)
+                        .set("system", harness::to_string(c.system))
+                        .set("interleavings", s.interleavings)
+                        .set("runs", s.runs)
+                        .set("choice_points", s.choice_points)
+                        .set("sleep_pruned", s.sleep_pruned)
+                        .set("redundant_paths", s.redundant_paths)
+                        .set("max_frontier", s.max_frontier)
+                        .set("failures", s.failures)
+                        .set("exhausted", s.exhausted));
   }
 
-  write_bench_json(cli.out_dir, results, cli.smoke);
+  const std::string json_path = obs::write_json(
+      cli.out_dir, "BENCH_mc.json",
+      obs::bench_json("mc", cli.smoke)
+          .set("total_interleavings", total_interleavings)
+          .set("total_runs", total_runs)
+          .set("cells", std::move(cells_json)));
+  std::printf("mc trajectory: %s\n", json_path.c_str());
 
   bool static_agree = true;
   if (cli.static_verify) static_agree = static_cross_check(results);

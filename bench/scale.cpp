@@ -18,8 +18,6 @@
 // never into a campaign report. Smoke mode runs fat-tree(8) with 50k
 // flows — same code path, CI-sized.
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -35,6 +33,7 @@ using BenchClock = std::chrono::steady_clock;
 #include "harness/campaign.hpp"
 #include "net/fattree.hpp"
 #include "net/topologies.hpp"
+#include "obs/run_report.hpp"
 
 namespace {
 
@@ -90,61 +89,10 @@ std::size_t peak_rss_bytes() {
   return 0;
 }
 
-/// Byte-compares two files; false when either cannot be read.
-bool files_identical(const std::string& a, const std::string& b) {
-  std::ifstream fa(a, std::ios::binary);
-  std::ifstream fb(b, std::ios::binary);
-  if (!fa || !fb) return false;
-  std::stringstream sa;
-  std::stringstream sb;
-  sa << fa.rdbuf();
-  sb << fb.rdbuf();
-  return sa.str() == sb.str();
-}
-
 bool spec_clean(const SpecResult& sr) {
   const auto& r = sr.result;
   return r.incomplete_runs == 0 && r.violations.loops == 0 &&
          r.violations.blackholes == 0;
-}
-
-void write_bench_json(const std::string& out_dir, const ScaleTable& t,
-                      bool smoke, double flows_per_sec,
-                      std::size_t bytes_per_flow, std::size_t peak_rss,
-                      double run_seconds, bool reports_identical,
-                      const SpecResult& merged) {
-  if (!out_dir.empty()) std::filesystem::create_directories(out_dir);
-  const std::string path =
-      (out_dir.empty() ? std::string{} : out_dir + "/") + "BENCH_scale.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "scale: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"scale\",\n  \"mode\": \"%s\",\n",
-               smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"topology\": \"fat-tree(%d)\",\n", t.fattree_k);
-  std::fprintf(f, "  \"resident_flows\": %llu,\n",
-               static_cast<unsigned long long>(t.flows));
-  std::fprintf(f, "  \"updated_flows\": %llu,\n",
-               static_cast<unsigned long long>(t.update_flows));
-  std::fprintf(f, "  \"run_seconds\": %.3f,\n", run_seconds);
-  std::fprintf(f, "  \"flows_per_sec\": %.1f,\n", flows_per_sec);
-  std::fprintf(f, "  \"peak_rss_bytes\": %llu,\n",
-               static_cast<unsigned long long>(peak_rss));
-  std::fprintf(f, "  \"bytes_per_flow\": %llu,\n",
-               static_cast<unsigned long long>(bytes_per_flow));
-  std::fprintf(f, "  \"jobs_reports_identical\": %s,\n",
-               reports_identical ? "true" : "false");
-  std::fprintf(f, "  \"incomplete_runs\": %llu,\n",
-               static_cast<unsigned long long>(merged.result.incomplete_runs));
-  std::fprintf(
-      f, "  \"violations\": {\"loops\": %llu, \"blackholes\": %llu}\n",
-      static_cast<unsigned long long>(merged.result.violations.loops),
-      static_cast<unsigned long long>(merged.result.violations.blackholes));
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("scale trajectory: %s\n", path.c_str());
 }
 
 }  // namespace
@@ -183,40 +131,44 @@ int main(int argc, char** argv) {
               measured.sample ? "OK" : "INCOMPLETE");
 
   // The determinism gate: the same campaign merged from 1 worker and from
-  // N workers must produce byte-identical reports. Reports land in
-  // subdirectories (same run_name, same meta) so the comparison is exact.
+  // N workers must produce byte-identical reports.
   harness::Campaign campaign;
   campaign.add(spec);
-  const int n_jobs = cli.jobs > 0 ? cli.jobs : 4;
-  const std::vector<SpecResult> serial = campaign.run(1);
-  const std::vector<SpecResult> parallel = campaign.run(n_jobs);
+  const std::string topology =
+      "fat-tree(" + std::to_string(table.fattree_k) + ")";
+  const harness::JobsGate gate = harness::run_jobs_gate(
+      campaign, cli.jobs, cli.out_dir, "scale",
+      {{"campaign", "scale"},
+       {"topology", topology},
+       {"resident_flows", std::to_string(table.flows)}});
+  std::printf("reports: %s vs %s -> %s\n", gate.serial_report.c_str(),
+              gate.parallel_report.c_str(),
+              gate.identical ? "byte-identical" : "DIFFERENT");
 
-  std::string report_root = cli.out_dir;
-  if (report_root.empty()) {
-    report_root = (std::filesystem::temp_directory_path() /
-                   "p4u_scale_reports").string();
-  }
-  const std::vector<std::pair<std::string, std::string>> meta = {
-      {"campaign", "scale"},
-      {"topology", "fat-tree(" + std::to_string(table.fattree_k) + ")"},
-      {"resident_flows", std::to_string(table.flows)}};
-  const std::string rep1 = harness::write_campaign_report(
-      report_root + "/jobs1", "scale", meta, serial);
-  const std::string repN = harness::write_campaign_report(
-      report_root + "/jobs" + std::to_string(n_jobs), "scale", meta, parallel);
-  const bool identical = files_identical(rep1, repN);
-  std::printf("reports: %s vs %s -> %s\n", rep1.c_str(), repN.c_str(),
-              identical ? "byte-identical" : "DIFFERENT");
+  const SpecResult& merged = gate.serial.front();
+  const std::string json_path = obs::write_json(
+      cli.out_dir, "BENCH_scale.json",
+      obs::bench_json("scale", cli.smoke)
+          .set("topology", topology)
+          .set("resident_flows", table.flows)
+          .set("updated_flows", table.update_flows)
+          .set("run_seconds", obs::Json::fixed(dt.count(), 3))
+          .set("flows_per_sec", obs::Json::fixed(flows_per_sec, 1))
+          .set("peak_rss_bytes", peak_rss)
+          .set("bytes_per_flow", bytes_per_flow)
+          .set("jobs_reports_identical", gate.identical)
+          .set("incomplete_runs", merged.result.incomplete_runs)
+          .set("violations",
+               obs::Json::object()
+                   .set("loops", merged.result.violations.loops)
+                   .set("blackholes", merged.result.violations.blackholes)));
+  std::printf("scale trajectory: %s\n", json_path.c_str());
 
-  write_bench_json(cli.out_dir, table, cli.smoke, flows_per_sec,
-                   bytes_per_flow, peak_rss, dt.count(), identical,
-                   serial.front());
-
-  const bool clean = spec_clean(serial.front()) && measured.sample.has_value();
+  const bool clean = spec_clean(merged) && measured.sample.has_value();
   std::printf("\n---- verdict ----\n");
   std::printf("all updates completed, zero violations: %s\n",
               clean ? "YES" : "NO");
-  std::printf("--jobs 1 and --jobs %d reports byte-identical: %s\n", n_jobs,
-              identical ? "YES" : "NO");
-  return clean && identical ? 0 : 1;
+  std::printf("--jobs 1 and --jobs %d reports byte-identical: %s\n",
+              gate.jobs, gate.identical ? "YES" : "NO");
+  return clean && gate.identical ? 0 : 1;
 }

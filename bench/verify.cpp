@@ -23,8 +23,8 @@
 // (wall-clock throughput goes only into the BENCH_verify.json trajectory
 // artifact, never into the gated rows).
 #include <cstdio>
-#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <chrono>
@@ -37,6 +37,7 @@ using BenchClock = std::chrono::steady_clock;
 #include "harness/static_check.hpp"
 #include "net/fattree.hpp"
 #include "net/paths.hpp"
+#include "obs/run_report.hpp"
 #include "verify/verifier.hpp"
 
 namespace {
@@ -159,12 +160,6 @@ std::string row_line(const VerifyRow& row, const verify::BatchResult& r) {
          verify::verdict_json(r.overall);
 }
 
-std::string out_path(const std::string& out_dir, const std::string& file) {
-  if (out_dir.empty()) return file;
-  std::filesystem::create_directories(out_dir);
-  return out_dir + "/" + file;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -214,6 +209,7 @@ int main(int argc, char** argv) {
   bool matrix_ok = true;
   std::uint64_t states_enumerated = 0;
   std::uint64_t states_pruned = 0;
+  obs::Json rows_json = obs::Json::array();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const VerifyRow& row = rows[i];
     const verify::Verdict& v = serial[i].overall;
@@ -226,49 +222,30 @@ int main(int argc, char** argv) {
                 verify::to_string(v.kind), verify::to_string(row.expected),
                 ok ? "OK" : "MISMATCH");
     if (v.kind == verify::VerdictKind::kUnsafe && v.witness) {
-      const std::string path = out_path(
-          cli.out_dir, "VERIFY_witness_" + row.family + "_" +
-                           harness::to_string(row.system) + ".json");
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      if (f != nullptr) {
-        std::fputs(verify::witness_json(*v.witness).c_str(), f);
-        std::fputs("\n", f);
-        std::fclose(f);
-        std::printf("    witness: %s\n", path.c_str());
-      }
+      const std::string path = obs::write_json(
+          cli.out_dir,
+          "VERIFY_witness_" + row.family + "_" +
+              harness::to_string(row.system) + ".json",
+          obs::Json::raw(verify::witness_json(*v.witness)));
+      std::printf("    witness: %s\n", path.c_str());
     }
+    rows_json.push(obs::Json::object()
+                       .set("family", row.family)
+                       .set("system", harness::to_string(row.system))
+                       .set("result", obs::Json::raw(verify::verdict_json(v))));
   }
 
-  const std::string bench_path = out_path(cli.out_dir, "BENCH_verify.json");
-  std::FILE* f = std::fopen(bench_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "verify: cannot write %s\n", bench_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"verify\",\n  \"mode\": \"%s\",\n",
-               cli.smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"plans\": %llu,\n",
-               static_cast<unsigned long long>(total_plans));
-  std::fprintf(f, "  \"verify_seconds\": %.6f,\n", dt.count());
-  std::fprintf(f, "  \"plans_per_sec\": %.1f,\n", plans_per_sec);
-  std::fprintf(f, "  \"states_enumerated\": %llu,\n",
-               static_cast<unsigned long long>(states_enumerated));
-  std::fprintf(f, "  \"states_pruned\": %llu,\n",
-               static_cast<unsigned long long>(states_pruned));
-  std::fprintf(f, "  \"jobs_verdicts_identical\": %s,\n",
-               jobs_identical ? "true" : "false");
-  std::fprintf(f, "  \"expected_matrix_ok\": %s,\n",
-               matrix_ok ? "true" : "false");
-  std::fprintf(f, "  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(f, "    {\"family\": \"%s\", \"system\": \"%s\", "
-                 "\"result\": %s}%s\n",
-                 rows[i].family.c_str(), harness::to_string(rows[i].system),
-                 verify::verdict_json(serial[i].overall).c_str(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  const std::string bench_path = obs::write_json(
+      cli.out_dir, "BENCH_verify.json",
+      obs::bench_json("verify", cli.smoke)
+          .set("plans", total_plans)
+          .set("verify_seconds", obs::Json::fixed(dt.count(), 6))
+          .set("plans_per_sec", obs::Json::fixed(plans_per_sec, 1))
+          .set("states_enumerated", states_enumerated)
+          .set("states_pruned", states_pruned)
+          .set("jobs_verdicts_identical", jobs_identical)
+          .set("expected_matrix_ok", matrix_ok)
+          .set("rows", std::move(rows_json)));
   std::printf("verify trajectory: %s\n", bench_path.c_str());
 
   std::printf("\n---- verdict ----\n");

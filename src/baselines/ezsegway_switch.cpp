@@ -64,7 +64,6 @@ void EzSegwaySwitch::handle_cmd(SwitchDevice& sw,
       n.flow = pu.cmd.flow;
       n.version = pu.cmd.version;
       n.segment_id = pu.cmd.chain_segment;
-      ++notifies_sent_;
       sw.fabric().trace().add({sw.now(), TraceKind::kMessageSent, id_, n.flow,
                                n.version, n.segment_id, "ez chain retrigger"});
       sw.clone_to_port(Packet{n}, pu.cmd.chain_child_port);
@@ -85,7 +84,6 @@ void EzSegwaySwitch::start_chain(SwitchDevice& sw, PendingUpdate& pu) {
   n.flow = pu.cmd.flow;
   n.version = pu.cmd.version;
   n.segment_id = pu.cmd.chain_segment;
-  ++notifies_sent_;
   sw.fabric().trace().add({sw.now(), TraceKind::kMessageSent, id_, n.flow,
                            n.version, n.segment_id, "ez chain start"});
   sw.clone_to_port(Packet{n}, pu.cmd.chain_child_port);
@@ -191,7 +189,6 @@ void EzSegwaySwitch::emit_post_install(SwitchDevice& sw,
     n.flow = cmd.flow;
     n.version = cmd.version;
     n.segment_id = cmd.rule_segment;
-    ++notifies_sent_;
     sw.clone_to_port(Packet{n}, cmd.upstream_port);
     return;
   }

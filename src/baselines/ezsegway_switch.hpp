@@ -44,10 +44,6 @@ class EzSegwaySwitch final : public p4rt::Pipeline {
   void bootstrap_flow(p4rt::SwitchDevice& sw, net::FlowId f,
                       std::int32_t egress_port, double size);
 
-  [[nodiscard]] std::uint64_t notifies_sent() const noexcept {
-    return notifies_sent_;
-  }
-
  private:
   struct PendingUpdate {
     p4rt::EzCmdHeader cmd;
@@ -85,7 +81,6 @@ class EzSegwaySwitch final : public p4rt::Pipeline {
   std::map<net::FlowId, double> flow_size_;
   std::map<net::FlowId, std::int32_t> inflight_;  // approved, not yet active
   std::vector<std::int32_t> next_hop_port_;  // static mgmt routing, per dest
-  std::uint64_t notifies_sent_ = 0;
 };
 
 }  // namespace p4u::baseline

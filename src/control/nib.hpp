@@ -62,8 +62,6 @@ class Nib {
     views_[handle_of(id)].believed_path = std::move(p);
   }
 
-  [[nodiscard]] std::size_t flow_count() const { return index_.size(); }
-
   /// Every known flow id, sorted. Recovery scans ("which flows cross this
   /// dead link?") iterate this so their side effects — repair updates, give-
   /// ups — happen in a deterministic order regardless of insertion history.

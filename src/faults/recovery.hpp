@@ -54,9 +54,6 @@ class HealthView {
   [[nodiscard]] bool node_ok(net::NodeId n) const {
     return down_nodes_.count(n) == 0;
   }
-  [[nodiscard]] bool all_healthy() const {
-    return down_links_.empty() && down_nodes_.empty();
-  }
 
   /// True when every node and every hop of `path` is believed alive.
   [[nodiscard]] bool path_ok(const net::Graph& g, const net::Path& path) const;

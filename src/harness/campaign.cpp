@@ -1,6 +1,9 @@
 #include "harness/campaign.hpp"
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -470,6 +473,42 @@ std::string write_campaign_report(
     rep.add_samples(sr.slug, sr.result.update_times_ms, sr.sample_unit);
   }
   return rep.write();
+}
+
+namespace {
+
+/// The whole file, or nullopt when it cannot be read.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+}  // namespace
+
+JobsGate run_jobs_gate(
+    const Campaign& campaign, int jobs, std::string report_root,
+    const std::string& run_name,
+    const std::vector<std::pair<std::string, std::string>>& meta) {
+  JobsGate gate;
+  gate.jobs = jobs > 0 ? jobs : 4;
+  gate.serial = campaign.run(1);
+  const std::vector<SpecResult> parallel = campaign.run(gate.jobs);
+  if (report_root.empty()) {
+    report_root = (std::filesystem::temp_directory_path() /
+                   ("p4u_" + run_name + "_reports"))
+                      .string();
+  }
+  gate.serial_report = write_campaign_report(report_root + "/jobs1",
+                                             run_name, meta, gate.serial);
+  gate.parallel_report = write_campaign_report(
+      report_root + "/jobs" + std::to_string(gate.jobs), run_name, meta,
+      parallel);
+  const std::optional<std::string> a = read_file(gate.serial_report);
+  gate.identical = a.has_value() && a == read_file(gate.parallel_report);
+  return gate;
 }
 
 }  // namespace p4u::harness

@@ -157,4 +157,24 @@ std::string write_campaign_report(
     const std::vector<std::pair<std::string, std::string>>& meta,
     const std::vector<SpecResult>& results);
 
+/// Outcome of run_jobs_gate.
+struct JobsGate {
+  std::vector<SpecResult> serial;  // campaign.run(1)
+  int jobs = 0;                    // the worker count compared against 1
+  std::string serial_report;       // <root>/jobs1/<run_name>.jsonl
+  std::string parallel_report;     // <root>/jobs<jobs>/<run_name>.jsonl
+  bool identical = false;          // the two reports are byte-identical
+};
+
+/// The `--jobs` determinism gate of the campaign benches: runs `campaign`
+/// on 1 worker and on `jobs` workers (<= 0: 4), writes both merged reports
+/// with write_campaign_report under <report_root>/jobs1 and
+/// <report_root>/jobs<N> (same run name and meta, so the comparison is
+/// exact), and byte-compares them. An empty report_root means a
+/// p4u_<run_name>_reports directory under the system temp directory.
+JobsGate run_jobs_gate(
+    const Campaign& campaign, int jobs, std::string report_root,
+    const std::string& run_name,
+    const std::vector<std::pair<std::string, std::string>>& meta);
+
 }  // namespace p4u::harness

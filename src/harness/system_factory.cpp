@@ -1,6 +1,8 @@
 #include "harness/system_factory.hpp"
 
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "baselines/central_controller.hpp"
 #include "baselines/central_switch.hpp"
@@ -26,7 +28,6 @@ const char* to_string(SystemKind k) {
 // --- SystemAdapter: ticketed submission over the admission queue ---
 
 void SystemAdapter::init_submission(const SystemContext& ctx) {
-  recovery_ = ctx.params.recovery;
   admission_ = std::make_unique<control::AdmissionQueue>(
       mutable_flow_db(), ctx.params.admission);
   admission_->set_clock([sim = &ctx.sim] { return sim->now(); });
@@ -284,68 +285,15 @@ class CentralAdapter final : public SystemAdapter {
 
 }  // namespace
 
-SystemFactory::SystemFactory() {
-  entries_.emplace_back(
-      SystemKind::kP4Update,
-      Entry{"P4Update", [](const SystemContext& ctx) {
-              return std::unique_ptr<SystemAdapter>(new P4UpdateAdapter(ctx));
-            }});
-  entries_.emplace_back(
-      SystemKind::kEzSegway,
-      Entry{"ez-Segway", [](const SystemContext& ctx) {
-              return std::unique_ptr<SystemAdapter>(new EzSegwayAdapter(ctx));
-            }});
-  entries_.emplace_back(
-      SystemKind::kCentral,
-      Entry{"Central", [](const SystemContext& ctx) {
-              return std::unique_ptr<SystemAdapter>(new CentralAdapter(ctx));
-            }});
-}
-
-SystemFactory& SystemFactory::instance() {
-  static SystemFactory factory;
-  return factory;
-}
-
-void SystemFactory::register_system(SystemKind kind, std::string name,
-                                    FactoryFn fn) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [k, entry] : entries_) {
-    if (k == kind) {
-      entry = Entry{std::move(name), std::move(fn)};
-      return;
-    }
+std::unique_ptr<SystemAdapter> make_system(SystemKind kind,
+                                           const SystemContext& ctx) {
+  switch (kind) {
+    case SystemKind::kP4Update: return std::make_unique<P4UpdateAdapter>(ctx);
+    case SystemKind::kEzSegway: return std::make_unique<EzSegwayAdapter>(ctx);
+    case SystemKind::kCentral: return std::make_unique<CentralAdapter>(ctx);
   }
-  entries_.emplace_back(kind, Entry{std::move(name), std::move(fn)});
-}
-
-std::unique_ptr<SystemAdapter> SystemFactory::create(
-    SystemKind kind, const SystemContext& ctx) const {
-  FactoryFn fn;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [k, entry] : entries_) {
-      if (k == kind) {
-        fn = entry.fn;
-        break;
-      }
-    }
-  }
-  if (!fn) {
-    throw std::logic_error(std::string("SystemFactory: no system registered "
-                                       "for kind '") +
-                           to_string(kind) + "'");
-  }
-  return fn(ctx);
-}
-
-std::vector<std::pair<SystemKind, std::string>> SystemFactory::registered()
-    const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<SystemKind, std::string>> out;
-  out.reserve(entries_.size());
-  for (const auto& [k, entry] : entries_) out.emplace_back(k, entry.name);
-  return out;
+  throw std::logic_error(std::string("make_system: no adapter for kind '") +
+                         to_string(kind) + "'");
 }
 
 }  // namespace p4u::harness

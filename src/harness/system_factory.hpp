@@ -1,20 +1,18 @@
-// SystemFactory: uniform construction of the systems under test.
+// System adapters: uniform construction of the systems under test.
 //
-// Every protocol (P4Update, ez-Segway, Central, and anything future PRs
-// add) plugs into the TestBed through one SystemAdapter interface: build
-// the per-switch pipelines against the fabric, build the controller, and
+// Every protocol (P4Update, ez-Segway, Central, and any later one) plugs
+// into the TestBed through one SystemAdapter interface: build the
+// per-switch pipelines against the fabric, build the controller, and
 // answer the handful of operations scenarios need (bootstrap a hop,
-// register / update flows, expose the FlowDb and NIB). The registry maps a
-// SystemKind to a factory so the harness, experiments, and benches never
-// switch over the enum — adding a protocol is one register_system call.
+// register / update flows, expose the FlowDb and NIB). make_system is the
+// one switch over SystemKind, so the harness, experiments, and benches
+// never branch on the enum — adding a protocol is one adapter class and
+// one case there.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -216,12 +214,8 @@ class SystemAdapter {
   /// into the registry. Must be idempotent; the default does nothing.
   virtual void collect_metrics(obs::MetricsRegistry& m) { (void)m; }
 
-  // Capability accessors: the uniform view of per-system knobs/counters a
+  // Capability accessor: the uniform view of per-system counters a
   // system-agnostic driver (bench/churn) needs, instead of downcasting.
-  /// The run's controller-recovery knobs.
-  [[nodiscard]] const faults::RecoveryParams& recovery_params() const {
-    return recovery_;
-  }
   /// Preflight verdict totals; zeros for systems without static preflight.
   [[nodiscard]] virtual PreflightCounters preflight_counters() const {
     return {};
@@ -274,41 +268,12 @@ class SystemAdapter {
 
  private:
   std::unique_ptr<control::AdmissionQueue> admission_;
-  faults::RecoveryParams recovery_;
 };
 
-/// Process-wide registry of SystemKind -> adapter factory. The built-in
-/// systems are registered on first use; future protocols call
-/// register_system once (e.g. from a static initializer).
-class SystemFactory {
- public:
-  using FactoryFn =
-      std::function<std::unique_ptr<SystemAdapter>(const SystemContext&)>;
-
-  /// The singleton, with the built-in systems pre-registered.
-  static SystemFactory& instance();
-
-  /// Registers (or replaces) the factory for `kind`. Thread-safe.
-  void register_system(SystemKind kind, std::string name, FactoryFn fn);
-
-  /// Builds the adapter for `kind`; throws std::logic_error when no factory
-  /// is registered. Thread-safe: campaign jobs create adapters concurrently.
-  [[nodiscard]] std::unique_ptr<SystemAdapter> create(
-      SystemKind kind, const SystemContext& ctx) const;
-
-  /// Registered (kind, name) pairs, in enum order.
-  [[nodiscard]] std::vector<std::pair<SystemKind, std::string>> registered()
-      const;
-
- private:
-  SystemFactory();
-  struct Entry {
-    std::string name;
-    FactoryFn fn;
-  };
-  // p4u-detlint: allow(thread-containment) registration-registry guard: campaign workers read the singleton concurrently; it protects entries_ only and never touches simulation state or report bytes
-  mutable std::mutex mu_;
-  std::vector<std::pair<SystemKind, Entry>> entries_;
-};
+/// Builds the adapter for `kind`; throws std::logic_error for a kind with
+/// no adapter. Campaign jobs call it concurrently: it touches no shared
+/// state.
+std::unique_ptr<SystemAdapter> make_system(SystemKind kind,
+                                           const SystemContext& ctx);
 
 }  // namespace p4u::harness

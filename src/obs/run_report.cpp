@@ -1,11 +1,14 @@
 #include "obs/run_report.hpp"
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include <unistd.h>
 
 namespace p4u::obs {
 
@@ -18,6 +21,47 @@ std::string json_number(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+/// Creates `dir` (and parents); a no-op for "" (the working directory).
+void create_out_dir(const std::string& dir, const char* who) {
+  if (dir.empty()) return;
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    throw std::runtime_error(std::string(who) +
+                             ": cannot create output directory '" + dir +
+                             "': " + ec.message());
+  }
+}
+
+#ifndef P4U_BUILD_TYPE
+#define P4U_BUILD_TYPE "unknown"
+#endif
+#ifndef P4U_COMPILER
+#define P4U_COMPILER "unknown"
+#endif
+
+/// The host a bench ran on. Lands in BENCH_*.json trajectory files only,
+/// never in a campaign report.
+Json machine_json() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      cpu = line.substr(colon + 2);
+    }
+    break;
+  }
+  const long cores = ::sysconf(_SC_NPROCESSORS_ONLN);
+  return Json::object()
+      .set("cpu", cpu)
+      .set("cores", cores > 0 ? cores : 0L)
+      .set("build_type", P4U_BUILD_TYPE)
+      .set("compiler", P4U_COMPILER);
 }
 
 std::string labels_json(const LabelSet& labels) {
@@ -140,12 +184,7 @@ void RunReport::add_trace(const sim::Trace& trace) {
 
 std::string RunReport::write() const {
   namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(out_dir_, ec);
-  if (ec) {
-    throw std::runtime_error("RunReport: cannot create output directory '" +
-                             out_dir_ + "': " + ec.message());
-  }
+  create_out_dir(out_dir_, "RunReport");
   const std::string jsonl_path =
       (fs::path(out_dir_) / (run_name_ + ".jsonl")).string();
   {
@@ -178,6 +217,103 @@ std::string RunReport::write() const {
     }
   }
   return jsonl_path;
+}
+
+Json Json::fixed(double v, int decimals) {
+  Json j;
+  if (std::isfinite(v)) {
+    // Sized to fit: "%.*f" of a large double runs to hundreds of digits.
+    const int n = std::snprintf(nullptr, 0, "%.*f", decimals, v);
+    j.text_.assign(static_cast<std::size_t>(n), '\0');
+    std::snprintf(j.text_.data(), j.text_.size() + 1, "%.*f", decimals, v);
+  }
+  return j;
+}
+
+Json Json::raw(std::string json) {
+  while (!json.empty() &&
+         std::isspace(static_cast<unsigned char>(json.back())) != 0) {
+    json.pop_back();
+  }
+  Json j;
+  j.text_ = std::move(json);
+  return j;
+}
+
+Json Json::object() {
+  Json j;
+  j.kind_ = Kind::kObject;
+  return j;
+}
+
+Json Json::array() {
+  Json j;
+  j.kind_ = Kind::kArray;
+  return j;
+}
+
+Json& Json::set(const std::string& key, Json value) {
+  if (kind_ != Kind::kObject) {
+    throw std::logic_error("Json::set on a non-object");
+  }
+  keys_.push_back(key);
+  items_.push_back(std::move(value));
+  return *this;
+}
+
+Json& Json::push(Json value) {
+  if (kind_ != Kind::kArray) {
+    throw std::logic_error("Json::push on a non-array");
+  }
+  items_.push_back(std::move(value));
+  return *this;
+}
+
+std::string Json::dump() const {
+  std::string out;
+  dump_to(out, 0);
+  return out;
+}
+
+void Json::dump_to(std::string& out, int indent) const {
+  if (kind_ == Kind::kScalar) {
+    out += text_;
+    return;
+  }
+  const bool is_object = kind_ == Kind::kObject;
+  if (items_.empty()) {
+    out += is_object ? "{}" : "[]";
+    return;
+  }
+  const std::string pad(static_cast<std::size_t>(indent + 2), ' ');
+  out += is_object ? "{\n" : "[\n";
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    out += pad;
+    if (is_object) out += "\"" + json_escape(keys_[i]) + "\": ";
+    items_[i].dump_to(out, indent + 2);
+    out += i + 1 < items_.size() ? ",\n" : "\n";
+  }
+  out += std::string(static_cast<std::size_t>(indent), ' ');
+  out += is_object ? '}' : ']';
+}
+
+std::string write_json(const std::string& out_dir, const std::string& file,
+                       const Json& doc) {
+  create_out_dir(out_dir, "write_json");
+  const std::string path = (std::filesystem::path(out_dir) / file).string();
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) throw std::runtime_error("write_json: cannot open " + path);
+  out << doc.dump() << '\n';
+  out.flush();
+  if (!out) throw std::runtime_error("write_json: short write to " + path);
+  return path;
+}
+
+Json bench_json(const std::string& bench, bool smoke) {
+  return Json::object()
+      .set("bench", bench)
+      .set("mode", smoke ? "smoke" : "full")
+      .set("machine", machine_json());
 }
 
 }  // namespace p4u::obs

@@ -7,10 +7,16 @@
 // with a "type" discriminator; see EXPERIMENTS.md ("Run reports") for the
 // full schema. JSONL keeps the writer trivial, appends cheap, and lets
 // downstream tooling (jq, pandas) consume reports without a parser of ours.
+//
+// The bench artifacts (BENCH_*.json, MC_counterexample_*.json,
+// VERIFY_witness_*.json) are single JSON documents instead: built as a Json
+// tree and written by write_json, under the same throw-on-I/O-failure
+// contract as RunReport::write.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -22,6 +28,61 @@ namespace p4u::obs {
 
 /// Escapes a string for inclusion inside JSON double quotes.
 std::string json_escape(const std::string& s);
+
+/// One JSON value under construction: a scalar (null, bool, integer,
+/// fixed-decimal number, string, or pre-serialised JSON text), an array, or
+/// an object whose keys keep insertion order. Doubles enter only through
+/// `fixed`, so every number states the precision it is printed with.
+class Json {
+ public:
+  Json() = default;  // null
+  Json(bool v) : text_(v ? "true" : "false") {}
+  template <typename T, std::enable_if_t<std::is_integral_v<T> &&
+                                             !std::is_same_v<T, bool>,
+                                         int> = 0>
+  Json(T v) : text_(std::to_string(v)) {}
+  Json(double) = delete;
+  Json(const char* s) : Json(std::string(s)) {}
+  Json(const std::string& s) : text_("\"" + json_escape(s) + "\"") {}
+
+  /// `v` with `decimals` digits after the point (printf "%.*f"); NaN and
+  /// infinities, which JSON cannot represent, become null.
+  static Json fixed(double v, int decimals);
+  /// Already-serialised JSON, embedded verbatim (trailing whitespace
+  /// trimmed).
+  static Json raw(std::string json);
+  static Json object();
+  static Json array();
+
+  /// Appends `key: value` to an object.
+  Json& set(const std::string& key, Json value);
+  /// Appends `value` to an array.
+  Json& push(Json value);
+
+  /// Two-space-indented serialisation without a trailing newline.
+  [[nodiscard]] std::string dump() const;
+
+ private:
+  enum class Kind { kScalar, kArray, kObject };
+  void dump_to(std::string& out, int indent) const;
+
+  Kind kind_ = Kind::kScalar;
+  std::string text_ = "null";       // scalars: the serialised value
+  std::vector<std::string> keys_;   // objects: one key per item
+  std::vector<Json> items_;         // arrays and objects
+};
+
+/// Writes `doc.dump()` plus a newline to <out_dir>/<file> (the working
+/// directory when out_dir is empty), creating out_dir if needed. Returns
+/// the path. Throws std::runtime_error when the directory cannot be
+/// created or the file cannot be opened or fully written.
+std::string write_json(const std::string& out_dir, const std::string& file,
+                       const Json& doc);
+
+/// The common head of every BENCH_<bench>.json: {"bench", "mode"
+/// ("smoke"/"full"), "machine": {"cpu", "cores", "build_type",
+/// "compiler"}}; each bench appends its own fields.
+Json bench_json(const std::string& bench, bool smoke);
 
 class RunReport {
  public:

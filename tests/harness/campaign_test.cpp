@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -77,6 +80,51 @@ TEST(CampaignTest, ParallelRunIsByteIdenticalToSerial) {
       EXPECT_EQ(sh[r].value->sum, ph[r].value->sum) << sh[r].name;
     }
   }
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// The shared `--jobs` gate of the campaign benches: its serial results are
+/// campaign.run(1), and the jobs1/jobsN reports it writes match byte for
+/// byte.
+TEST(CampaignTest, JobsGateComparesSerialAndParallelReports) {
+  namespace fs = std::filesystem;
+  const std::string root =
+      (fs::temp_directory_path() / "p4u_campaign_jobs_gate_test").string();
+  fs::remove_all(root);
+  const Campaign campaign = small_campaign(2);
+  const JobsGate gate =
+      run_jobs_gate(campaign, 3, root, "gate", {{"campaign", "gate"}});
+
+  const std::vector<SpecResult> serial = campaign.run(1);
+  ASSERT_EQ(gate.serial.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(gate.serial[i].slug, serial[i].slug);
+    EXPECT_EQ(gate.serial[i].result.update_times_ms.raw(),
+              serial[i].result.update_times_ms.raw());
+  }
+  EXPECT_EQ(gate.jobs, 3);
+  EXPECT_EQ(gate.serial_report, root + "/jobs1/gate.jsonl");
+  EXPECT_EQ(gate.parallel_report, root + "/jobs3/gate.jsonl");
+  EXPECT_TRUE(gate.identical);
+  const std::string report = slurp(gate.serial_report);
+  EXPECT_NE(report.find("\"campaign\":\"gate\""), std::string::npos);
+  EXPECT_EQ(report, slurp(gate.parallel_report));
+
+  // A worker count <= 0 compares against the default of 4.
+  EXPECT_EQ(run_jobs_gate(campaign, 0, root, "gate", {}).jobs, 4);
+  fs::remove_all(root);
+}
+
+TEST(CampaignTest, UnknownSystemKindThrows) {
+  TestBedParams params;
+  params.system = static_cast<SystemKind>(99);
+  EXPECT_THROW(TestBed(*fig1_graph(), params), std::logic_error);
 }
 
 TEST(CampaignTest, OversubscribedJobsMatchSerialToo) {
