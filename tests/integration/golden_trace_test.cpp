@@ -19,6 +19,7 @@
 #include "net/fattree.hpp"
 #include "net/paths.hpp"
 #include "net/topologies.hpp"
+#include "obs/metrics.hpp"
 #include "sim/schedule.hpp"
 #include "sim/schedule_strategy.hpp"
 
@@ -229,6 +230,141 @@ TEST(GoldenTraceTest, CongestionModeBatchEventSequenceIsPinned) {
         << to_string(c.system) << " seed " << c.seed
         << ": event-sequence digest drifted (got 0x" << std::hex << r.digest
         << ")";
+  }
+}
+
+// --- Controller recovery -------------------------------------------------
+
+/// The recovery counters every controller exports, in digest order.
+constexpr const char* kRecoveryCounters[] = {
+    "ctrl.recovery_resends",  "ctrl.recovery_repairs",
+    "ctrl.recovery_gaveup",   "ctrl.recovery_stranded",
+    "ctrl.recovery_reissues", "ctrl.recovery_redeploys",
+};
+constexpr std::size_t kRecoveryCounterCount =
+    sizeof(kRecoveryCounters) / sizeof(kRecoveryCounters[0]);
+
+enum class RecoveryBed {
+  /// The chaos_property_test bed: fig1, 5% control drop, the new path's
+  /// first interior hop cut mid-update for two seconds.
+  kLinkDown,
+  /// Same drop and recovery knobs, but the flow's egress crashes twice:
+  /// mid-update (nothing routes around it, so the update is abandoned and
+  /// reissued on restart) and again once the flow is idle (stranded, then
+  /// redeployed across the restarted switch).
+  kSwitchCrash,
+};
+
+struct RecoveryRun {
+  std::uint64_t digest = 0;
+  std::uint64_t counters[kRecoveryCounterCount] = {};
+};
+
+/// Runs one recovery-enabled fig1 update and folds the trace, every flow
+/// history outcome and the recovery counter totals into one digest.
+RecoveryRun recovery_digest(SystemKind system, RecoveryBed kind,
+                            std::uint64_t seed) {
+  net::NamedTopology topo = net::fig1_topology();
+  TestBedParams params;
+  params.seed = seed;
+  params.system = system;
+  params.fault_plan.model.control_drop_prob = 0.05;
+  const net::NodeId egress = topo.old_path.back();
+  if (kind == RecoveryBed::kLinkDown) {
+    params.fault_plan.link_down_for(sim::milliseconds(15), topo.new_path[1],
+                                    topo.new_path[2], sim::seconds(2));
+  } else {
+    params.fault_plan.switch_crash_for(sim::milliseconds(15), egress,
+                                       sim::seconds(1));
+    params.fault_plan.switch_crash_for(sim::seconds(20), egress,
+                                       sim::milliseconds(500));
+  }
+  params.recovery.enabled = true;
+  params.enable_retrigger = true;
+  params.p4u_uim_watchdog = sim::milliseconds(500);
+  params.p4u_wait_timeout = sim::milliseconds(500);
+  TestBed bed(topo.graph, params);
+
+  net::Flow f;
+  f.ingress = topo.old_path.front();
+  f.egress = egress;
+  f.id = net::flow_id_of(f.ingress, f.egress);
+  f.size = 1.0;
+  bed.deploy_flow(f, topo.old_path);
+  bed.schedule_update_at(sim::milliseconds(10), f.id, topo.new_path);
+  bed.run(sim::seconds(120));
+  EXPECT_TRUE(bed.flow_db().all_terminal())
+      << to_string(system) << " seed " << seed;
+
+  RecoveryRun r;
+  r.digest = trace_digest(bed);
+  for (const control::UpdateRecord& rec : bed.flow_db().history(f.id)) {
+    mix_u64(r.digest, static_cast<std::uint64_t>(rec.version));
+    mix_u64(r.digest, static_cast<std::uint64_t>(rec.outcome));
+    mix_u64(r.digest, static_cast<std::uint64_t>(rec.state));
+    mix_u64(r.digest, static_cast<std::uint64_t>(rec.issued_at));
+    mix_u64(r.digest, static_cast<std::uint64_t>(rec.completed_at));
+  }
+  for (std::size_t i = 0; i < kRecoveryCounterCount; ++i) {
+    r.counters[i] = bed.metrics().counter_total(kRecoveryCounters[i]);
+    mix_u64(r.digest, r.counters[i]);
+  }
+  return r;
+}
+
+struct RecoveryGoldenCase {
+  SystemKind system;
+  RecoveryBed bed;
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+
+// Captured before the three controllers' recovery state machines were
+// merged into faults::RecoveringController: the shared class must replay
+// each system's recovery byte for byte.
+constexpr RecoveryGoldenCase kRecoveryGolden[] = {
+    {SystemKind::kP4Update, RecoveryBed::kLinkDown, 1, 0xa390150ff794b4dbull},
+    {SystemKind::kP4Update, RecoveryBed::kLinkDown, 4, 0xbb484594a57aa67cull},
+    {SystemKind::kP4Update, RecoveryBed::kSwitchCrash, 1,
+     0x71d14875aaf7d0b7ull},
+    {SystemKind::kP4Update, RecoveryBed::kSwitchCrash, 4,
+     0x8c26a80a25901969ull},
+    {SystemKind::kEzSegway, RecoveryBed::kLinkDown, 1, 0xf89a676251a6f8adull},
+    {SystemKind::kEzSegway, RecoveryBed::kLinkDown, 4, 0x52784a55994b0654ull},
+    {SystemKind::kEzSegway, RecoveryBed::kSwitchCrash, 1,
+     0x81a2ec13f57ca659ull},
+    {SystemKind::kEzSegway, RecoveryBed::kSwitchCrash, 4,
+     0xc914c510fec5e648ull},
+    // Central has no switch-to-switch messages, so the control-drop coin
+    // never fires and both seeds replay the same run.
+    {SystemKind::kCentral, RecoveryBed::kLinkDown, 1, 0x5f6f013dfba21f0bull},
+    {SystemKind::kCentral, RecoveryBed::kLinkDown, 4, 0x5f6f013dfba21f0bull},
+    {SystemKind::kCentral, RecoveryBed::kSwitchCrash, 1, 0x2665dfc5fc0d6a07ull},
+    {SystemKind::kCentral, RecoveryBed::kSwitchCrash, 4, 0x2665dfc5fc0d6a07ull},
+};
+
+TEST(GoldenTraceTest, RecoveryEventSequenceIsPinned) {
+  for (const RecoveryGoldenCase& c : kRecoveryGolden) {
+    const RecoveryRun r = recovery_digest(c.system, c.bed, c.seed);
+    const char* bed = c.bed == RecoveryBed::kLinkDown ? "link-down" : "crash";
+    const std::string where =
+        std::string(to_string(c.system)) + " " + bed + " seed " +
+        std::to_string(c.seed);
+    // The pin is only worth having if the recovery paths actually ran.
+    const auto& [resends, repairs, gaveup, stranded, reissues, redeploys] =
+        r.counters;
+    if (c.bed == RecoveryBed::kLinkDown) {
+      EXPECT_GT(repairs, 0u) << where;
+    } else {
+      EXPECT_GT(resends, 0u) << where;
+      EXPECT_GT(gaveup, 0u) << where;
+      EXPECT_GT(stranded, 0u) << where;
+      EXPECT_GT(reissues, 0u) << where;
+      EXPECT_GT(redeploys, 0u) << where;
+    }
+    EXPECT_EQ(r.digest, c.digest)
+        << where << ": recovery digest drifted (got 0x" << std::hex
+        << r.digest << ")";
   }
 }
 
