@@ -10,14 +10,11 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "baselines/dependency_graph.hpp"
-#include "control/flow_db.hpp"
-#include "control/nib.hpp"
 #include "control/segmentation.hpp"
 #include "faults/recovery.hpp"
 #include "p4rt/control_channel.hpp"
@@ -39,7 +36,7 @@ struct EzControllerParams {
 /// update times.
 constexpr sim::Duration kWorkUnitCost = sim::microseconds(50);
 
-class EzSegwayController final : public p4rt::ControllerApp {
+class EzSegwayController final : public faults::RecoveringController {
  public:
   EzSegwayController(p4rt::ControlChannel& channel, control::Nib nib,
                      EzControllerParams params = {});
@@ -63,7 +60,8 @@ class EzSegwayController final : public p4rt::ControllerApp {
 
   /// Schedules one flow update; queues it if this flow's previous update is
   /// still in flight (ez-Segway's consistency choice, §4.2).
-  p4rt::Version schedule_update(net::FlowId flow, const net::Path& new_path);
+  p4rt::Version schedule_update(net::FlowId flow,
+                                const net::Path& new_path) override;
 
   /// Batch preamble: computes the congestion variant's global priorities
   /// (and occupies the channel for the centralized compute) before any of
@@ -79,23 +77,6 @@ class EzSegwayController final : public p4rt::ControllerApp {
 
   void handle_from_switch(net::NodeId from, const p4rt::Packet& pkt) override;
 
-  // Failure detection (ControlChannel).
-  void handle_link_state(net::LinkId link, net::NodeId a, net::NodeId b,
-                         bool up) override;
-  void handle_switch_state(net::NodeId node, bool up) override;
-
-  [[nodiscard]] control::Nib& nib() noexcept { return nib_; }
-  [[nodiscard]] control::FlowDb& flow_db() noexcept { return flow_db_; }
-
-  std::function<void(net::FlowId, p4rt::Version, sim::Time)> on_complete;
-  /// Invoked whenever an issued update reaches a terminal outcome
-  /// (kCompleted / kRolledBack / kAbandoned), after all controller state
-  /// was updated — a handler may synchronously schedule the next update.
-  /// Fires before issue_next_queued drains this flow's internal queue.
-  std::function<void(net::FlowId, p4rt::Version, control::UpdateOutcome,
-                     sim::Time)>
-      on_settled;
-
  private:
   using Key = std::pair<net::FlowId, p4rt::Version>;
 
@@ -104,40 +85,28 @@ class EzSegwayController final : public p4rt::ControllerApp {
   /// Pops and issues the next queued update for `flow`, if any.
   void issue_next_queued(net::FlowId flow);
 
-  // --- recovery state machine (params_.recovery) ---
-  struct RetryState {
-    p4rt::Version version = 0;
-    int attempts = 0;
-    std::uint64_t gen = 0;
-  };
-  void track_update(net::FlowId flow, p4rt::Version version);
-  void arm_retry_timer(net::FlowId flow);
-  void on_retry_timer(net::FlowId flow, std::uint64_t gen);
+  // --- recovery hooks ---
   /// Re-sends the update's commands with the retrigger flag: switches that
   /// already acted re-emit their notifies/UFMs instead of re-installing.
-  void resend_cmds(net::FlowId flow, p4rt::Version version);
-  void settle_update(net::FlowId flow, p4rt::Version version);
-  /// Drops the in-flight update's controller state without a terminal
-  /// outcome (the caller supersedes it with a repair version).
-  void cancel_inflight(net::FlowId flow, p4rt::Version version);
-  void repair_around(const std::function<bool(const net::Path&)>& hits);
-  void reissue_after_recovery(std::optional<net::NodeId> restarted);
+  void resend_update(net::FlowId flow, p4rt::Version version) override;
+  /// Forgets the segment counters; a superseded update also frees the flow
+  /// for the repair, which would otherwise queue behind it (§4.2).
+  void drop_inflight(net::FlowId flow, p4rt::Version version,
+                     bool superseded) override;
+  /// Re-pushes the believed rule at the restarted switch as a one-node
+  /// segment and kicks it with a notify.
+  void redeploy(net::FlowId flow, net::NodeId restarted) override;
+  /// A settled flow issues its next queued update.
+  void after_recovery(std::optional<net::FlowId> settled) override;
 
-  p4rt::ControlChannel& channel_;
-  control::Nib nib_;
-  control::FlowDb flow_db_;
   EzControllerParams params_;
   std::map<Key, std::int32_t> remaining_;
-  std::map<Key, net::Path> issued_paths_;
   std::map<net::FlowId, std::deque<net::Path>> queued_;
   std::map<net::FlowId, std::uint8_t> priority_;
   // Segment-top reporters already counted against remaining_: recovery
   // resends make duplicate UFMs possible, and a double-decrement would
   // complete an update whose segments never all finished.
   std::map<Key, std::set<net::NodeId>> ufm_seen_;
-  faults::HealthView health_;
-  std::map<net::FlowId, RetryState> retry_;
-  std::uint64_t retry_gen_ = 0;
 };
 
 }  // namespace p4u::baseline

@@ -20,12 +20,16 @@ TwoPhaseCoordinator::TwoPhaseCoordinator(P4UpdateController& controller,
     : controller_(controller),
       channel_(channel),
       cleanup_grace_(cleanup_grace) {
-  auto previous = std::move(controller_.on_complete);
-  controller_.on_complete = [this, previous = std::move(previous)](
-                                net::FlowId flow, p4rt::Version version,
-                                sim::Time at) {
-    if (previous) previous(flow, version, at);
-    on_generation_ready(flow, version);
+  // A generation is ready once its update completed; that runs before the
+  // handler already installed (e.g. the admission queue's settle).
+  auto previous = std::move(controller_.on_settled);
+  controller_.on_settled = [this, previous = std::move(previous)](
+                               net::FlowId flow, p4rt::Version version,
+                               control::UpdateOutcome outcome, sim::Time at) {
+    if (outcome == control::UpdateOutcome::kCompleted) {
+      on_generation_ready(flow, version);
+    }
+    if (previous) previous(flow, version, outcome, at);
   };
 }
 

@@ -29,8 +29,8 @@ net::FlowId tagged_flow_id(net::FlowId base, std::uint32_t epoch);
 
 class TwoPhaseCoordinator {
  public:
-  /// Wraps a P4Update controller; chains onto its on_complete callback
-  /// (existing callbacks keep firing).
+  /// Wraps a P4Update controller; chains onto its on_settled callback
+  /// (existing callbacks keep firing, after the coordinator's own step).
   TwoPhaseCoordinator(P4UpdateController& controller,
                       p4rt::ControlChannel& channel,
                       sim::Duration cleanup_grace = sim::milliseconds(500));

@@ -3,10 +3,29 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 namespace p4u::harness {
 
 namespace {
+
+/// Terminate handler of every bench and example: an exception that escapes
+/// main (typically a report or artifact that cannot be written) prints
+/// "error: <what>" and exits 1, instead of aborting with SIGABRT.
+[[noreturn]] void exit_on_uncaught_exception() {
+  if (const std::exception_ptr e = std::current_exception()) {
+    try {
+      std::rethrow_exception(e);
+    } catch (const std::exception& ex) {
+      std::fprintf(stderr, "error: %s\n", ex.what());
+    } catch (...) {
+      std::fputs("error: unknown exception\n", stderr);
+    }
+    std::fflush(nullptr);
+    std::_Exit(1);
+  }
+  std::abort();  // terminate without an exception: a genuine bug
+}
 
 /// Parses a full-string unsigned integer; false on garbage or overflow.
 bool parse_u64(const std::string& s, std::uint64_t& out) {
@@ -273,6 +292,7 @@ BenchCliResult parse_bench_cli(int& argc, char** argv,
 
 BenchCli parse_bench_cli_or_exit(int& argc, char** argv,
                                  const BenchCliSpec& spec) {
+  std::set_terminate(exit_on_uncaught_exception);
   BenchCliSpec named = spec;
   if (named.program.empty() && argc > 0) named.program = argv[0];
   const BenchCliResult r = parse_bench_cli(argc, argv, named);

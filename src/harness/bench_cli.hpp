@@ -90,6 +90,9 @@ BenchCliResult parse_bench_cli(int& argc, char** argv,
 
 /// parse_bench_cli, with the usual main() behavior: on --help prints usage
 /// and exits 0; on error prints the error plus usage to stderr and exits 2.
+/// Also installs the process's terminate handler, so an exception that
+/// later escapes main (e.g. an unwritable --out) prints "error: <what>" and
+/// exits 1.
 BenchCli parse_bench_cli_or_exit(int& argc, char** argv,
                                  const BenchCliSpec& spec);
 

@@ -64,6 +64,13 @@ std::optional<Path> extract_path(const SpTree& t, NodeId src, NodeId dst) {
 
 }  // namespace
 
+NodeId succ_on(const Path& p, NodeId n) {
+  for (std::size_t i = 0; i + 1 < p.size(); ++i) {
+    if (p[i] == n) return p[i + 1];
+  }
+  return kNoNode;
+}
+
 SpTree dijkstra(const Graph& g, NodeId src, Metric metric) {
   return dijkstra_masked(g, src, metric, nullptr, nullptr);
 }

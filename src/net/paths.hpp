@@ -14,6 +14,9 @@ namespace p4u::net {
 /// A simple (loop-free) node path: path.front() = ingress, back() = egress.
 using Path = std::vector<NodeId>;
 
+/// The node after `n` on `p`: kNoNode when `n` is the egress or not on `p`.
+NodeId succ_on(const Path& p, NodeId n);
+
 enum class Metric {
   kHops,     // unit edge weight
   kLatency,  // link propagation latency

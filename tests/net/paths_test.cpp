@@ -100,6 +100,13 @@ TEST(ValidSimplePathTest, RejectsRepeatsAndGaps) {
   EXPECT_FALSE(valid_simple_path(g, {}));          // empty
 }
 
+TEST(SuccOnTest, NextHopEgressAndAbsentNode) {
+  const Path p = {0, 1, 4, 5};
+  EXPECT_EQ(succ_on(p, 1), 4);        // hit: the next node on the path
+  EXPECT_EQ(succ_on(p, 5), kNoNode);  // the egress has no successor
+  EXPECT_EQ(succ_on(p, 3), kNoNode);  // not on the path
+}
+
 TEST(CentroidTest, PicksMinimaxNode) {
   // Chain 0-1-2-3-4: centroid is node 2.
   Graph g;
